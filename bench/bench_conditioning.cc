@@ -129,17 +129,15 @@ int main() {
         .Threads(threads)
         .Param("groups", kGroups);
 
-    // Self-check (t1): the packed Karp-Luby kernels and the d-tree solver
-    // must reproduce the pre-kernel engine EXACTLY — same posterior conf()
-    // bits, same aconf() estimates on the same session stream. Two fresh
-    // databases with identical histories and seeds, one forced onto the
-    // reference kernel + legacy recursive solver.
+    // Self-check (t1): the packed Karp-Luby kernels must reproduce the
+    // reference kernel EXACTLY — same posterior conf() bits, same aconf()
+    // estimates. Two fresh databases with identical histories, one forced
+    // onto the reference kernel.
     if (threads == 1) {
       auto fast_db = BuildSpace(kGroups, 1);
       auto ref_db = BuildSpace(kGroups, 1);
       if (fast_db == nullptr || ref_db == nullptr) return 1;
       ref_db->options().exec.montecarlo.use_reference_kernel = true;
-      ref_db->options().exec.exact.use_legacy_solver = true;
       const char* assert_sql =
           "assert select * from u u1, u u2 "
           "where u1.k = 0 and u2.k = 1 and u1.v = u2.v and u1.v <= 1";

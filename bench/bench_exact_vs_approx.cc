@@ -10,11 +10,15 @@
 // elimination hits few distinct variables; at large r (mostly disjoint
 // clauses) decomposition splits the DNF into independent pieces; the hard
 // region is in between — where the Karp-Luby/DKLR estimator wins.
+#include <cmath>
 #include <cstdio>
+#include <map>
 #include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/common/rng.h"
+#include "src/common/str_util.h"
 #include "src/common/thread_pool.h"
 #include "src/conf/exact.h"
 #include "src/conf/montecarlo.h"
@@ -53,6 +57,45 @@ Instance RandomDnf(int vars, int clauses, int width, uint64_t seed) {
   return inst;
 }
 
+// P(dnf) for each sweep instance, recorded from the recursive exact
+// solver the d-tree compiler replaced; the sweep's answer check.
+const std::map<int, double> kSweepGoldens = {
+    {4, 0.6307750806892156},    {8, 0.5041878626654687},
+    {16, 0.5256088540115231},   {24, 0.683645537319426},
+    {40, 0.7958824842284271},   {64, 0.6449477685216393},
+    {96, 0.6094104938956504},   {160, 0.7136789191500645},
+    {320, 0.664175212590242},   {640, 0.7554746737005011},
+    {1280, 0.6917180857254499}, {2560, 0.6918437145601304},
+};
+
+// The conf() group lineage of the `whatif` perfbench workload,
+// (∨_a x_a = s) ∧ (∨_b y_b = s): one two-atom clause per pair of players,
+// over 3-valued variables. `a` and `b` receive the two sides' single-atom
+// DNFs. The atoms are rare enough that P(A) and P(B) stay well below 1, so
+// a wrong factorisation cannot hide in rounding.
+Instance PairProduct(int left, int right, Dnf* a, Dnf* b) {
+  Instance inst;
+  Rng rng(5);
+  auto side = [&](int n, Dnf* out) {
+    std::vector<VarId> ids;
+    for (int i = 0; i < n; ++i) {
+      double p0 = 0.002 + 0.028 * rng.NextDouble();
+      double p1 = (1 - p0) * rng.NextDouble();
+      ids.push_back(*inst.wt.NewVariable({p0, p1, 1 - p0 - p1}));
+      out->AddClause(*Condition::FromAtoms({{ids.back(), 0}}));
+    }
+    return ids;
+  };
+  std::vector<VarId> xs = side(left, a);
+  std::vector<VarId> ys = side(right, b);
+  for (VarId x : xs) {
+    for (VarId y : ys) {
+      inst.dnf.AddClause(*Condition::FromAtoms({{x, 0}, {y, 0}}));
+    }
+  }
+  return inst;
+}
+
 }  // namespace
 
 int main() {
@@ -73,7 +116,7 @@ int main() {
               "aconf(ms)", "exact p", "winner");
 
   int exact_wins_low = 0, approx_wins_mid = 0, exact_wins_high = 0;
-  int selfcheck_failures = 0;
+  std::vector<std::string> failed_checks;  // names of failed self-checks
   for (int vars : {4, 8, 16, 24, 40, 64, 96, 160, 320, 640, 1280, 2560}) {
     double ratio = static_cast<double>(vars) / kClauses;
     Instance inst = RandomDnf(vars, kClauses, kWidth, 42 + vars);
@@ -92,31 +135,13 @@ int main() {
       }
     });
 
-    // Self-check + speedup record: the legacy recursive solver must agree
-    // BIT-FOR-BIT with the d-tree value (the compilation contract).
-    double legacy_p = -2;
-    bool legacy_ok = true;
-    double legacy_ms = TimeMs([&] {
-      ExactOptions options;
-      options.max_steps = kExactStepCap;
-      options.use_legacy_solver = true;
-      Result<double> r = ExactConfidence(inst.dnf, inst.wt, options);
-      if (r.ok()) {
-        legacy_p = *r;
-      } else {
-        legacy_ok = false;
-      }
-    });
-    if (exact_ok != legacy_ok || (exact_ok && exact_p != legacy_p)) {
-      std::printf("  ERROR: dtree/legacy mismatch at %d vars: %.17g vs %.17g\n",
-                  vars, exact_p, legacy_p);
-      ++selfcheck_failures;
+    // Answer check: the recorded golden probability, to 1e-12.
+    const double golden = kSweepGoldens.at(vars);
+    if (!exact_ok || std::abs(exact_p - golden) > 1e-12) {
+      std::printf("  ERROR: exact p at %d vars is %.17g, golden %.17g\n", vars,
+                  exact_p, golden);
+      failed_checks.push_back(StringFormat("golden p at %d vars", vars));
     }
-    json.Report("exact_legacy", legacy_ok ? legacy_ms : -1.0)
-        .Param("vars", vars)
-        .Threads(1)
-        .Metric("p", legacy_p)
-        .Metric("dtree_speedup", exact_ms > 0 ? legacy_ms / exact_ms : 0);
 
     double approx_p = -1;
     double approx_ms = TimeMs([&] {
@@ -145,6 +170,41 @@ int main() {
         .Metric("p", exact_p);
     json.Report("aconf", approx_ms).Param("vars", vars).Threads(1).Metric(
         "p", approx_p);
+  }
+
+  // Independent-AND (⊙) factorisation on the whatif group shape: the
+  // compiler must factor the 59 × 60 cross product into P(A) · P(B)
+  // instead of eliminating one player at a time.
+  PrintHeader("product: whatif conf() group lineage (59 x 60 two-atom clauses)");
+  {
+    Dnf side_a, side_b;
+    Instance inst = PairProduct(59, 60, &side_a, &side_b);
+    double p = -1;
+    ExactStats stats;
+    double ms = maybms_bench::TimeMs3([&] {
+      stats = ExactStats{};
+      Result<double> r = ExactConfidence(inst.dnf, inst.wt, {}, &stats);
+      if (r.ok()) p = *r;
+    });
+    Result<double> pa = ExactConfidence(side_a, inst.wt);
+    Result<double> pb = ExactConfidence(side_b, inst.wt);
+    const double expected = pa.ok() && pb.ok() ? *pa * *pb : -1;
+    std::printf("  %zu clauses: %.3f ms, p = %.12f (P(A)·P(B) = %.12f), "
+                "%llu ⊙ node(s), %llu steps\n",
+                inst.dnf.NumClauses(), ms, p, expected,
+                static_cast<unsigned long long>(stats.products),
+                static_cast<unsigned long long>(stats.steps));
+    if (std::abs(p - expected) > 1e-12 || stats.products == 0) {
+      std::printf("  ERROR: product lineage not factored into P(A)·P(B)\n");
+      failed_checks.push_back("product factorisation");
+    }
+    json.Report("product", ms)
+        .Param("left", 59)
+        .Param("right", 60)
+        .Threads(1)
+        .Metric("p", p)
+        .Metric("steps", static_cast<double>(stats.steps))
+        .Metric("products", static_cast<double>(stats.products));
   }
 
   // Thread scaling: the same solvers on a work-stealing pool. Exact
@@ -211,11 +271,6 @@ int main() {
     configs.push_back({"max-occurrence (default)", base});
     {
       ExactOptions o = base;
-      o.use_legacy_solver = true;
-      configs.push_back({"legacy recursive solver", o});
-    }
-    {
-      ExactOptions o = base;
       o.heuristic = EliminationHeuristic::kMinCostEstimate;
       configs.push_back({"min-cost-estimate", o});
     }
@@ -274,7 +329,7 @@ int main() {
     std::printf("  counters off:   %8.2f ms\n", check.off_ms);
     std::printf("  overhead:       %+8.2f%%%s\n", 100 * check.rel,
                 check.ok ? "" : "  ERROR: exceeds the 3% budget");
-    if (!check.ok) ++selfcheck_failures;
+    if (!check.ok) failed_checks.push_back("metrics overhead");
     json.Report("metrics_overhead", check.on_ms)
         .Threads(1)
         .Metric("off_ms", check.off_ms)
@@ -291,9 +346,12 @@ int main() {
   std::printf("\nExpected shape per the paper: exact is faster at both ends of "
               "the ratio axis;\nthe approximation only pays off in the narrow "
               "hard band in between.\n");
-  if (selfcheck_failures > 0) {
-    std::printf("\nSELF-CHECK FAILED: %d dtree/legacy probability "
-                "mismatches\n", selfcheck_failures);
+  if (!failed_checks.empty()) {
+    std::string names;
+    for (const std::string& name : failed_checks) {
+      names += (names.empty() ? "" : ", ") + name;
+    }
+    std::printf("\nSELF-CHECK FAILED: %s\n", names.c_str());
     return 1;
   }
   return 0;

@@ -78,7 +78,6 @@ std::vector<std::string> Script(int session_idx) {
 
 SessionOptions OptionsFor(int session_idx) {
   SessionOptions options;
-  options.seed = 100 + static_cast<uint64_t>(session_idx);
   options.exec.num_threads = 1;  // concurrency comes from sessions here
   options.exec.engine =
       session_idx % 2 == 0 ? ExecEngine::kBatch : ExecEngine::kRow;

@@ -8,17 +8,17 @@
 // --serve starts the multi-session server (src/server/server.h) on a
 // local socket while keeping this shell interactive as the root session;
 // every --connect shell gets its OWN session over the same catalog — its
-// own SET knobs, aconf RNG stream, and asserted evidence — while data and
-// the world table are shared under statement-level snapshot isolation
+// own SET knobs and asserted evidence — while data and the world table
+// are shared under statement-level snapshot isolation
 // (src/engine/session.h).
 //
 // Meta-commands: \d (list tables + world table + sessions + evidence),
 // \d <table> (describe), \explain <query>, \stats [pattern] (metrics
 // registry snapshot, LIKE-filterable — same data as SHOW STATS),
 // \trace <file> (recent statement traces as chrome://tracing JSON),
-// \seed <n> (reseed aconf RNG), \save <file> / \load <file> (dump and
-// restore the whole database — conditions, world table, and this
-// session's asserted evidence included; embedded mode only), \q.
+// \save <file> / \load <file> (dump and restore the whole database —
+// conditions, world table, and this session's asserted evidence
+// included; embedded mode only), \q.
 //
 // Conditioning statements (see DESIGN.md):
 //   ASSERT <query>;                  -- condition on "query has an answer"
@@ -66,11 +66,6 @@ bool Dispatch(Database* db, const std::string& line, bool serving) {
       auto plan = db->Explain(cmd.substr(9));
       std::printf("%s", plan.ok() ? plan->c_str()
                                   : (plan.status().ToString() + "\n").c_str());
-      return true;
-    }
-    if (cmd.rfind("\\seed ", 0) == 0) {
-      db->Reseed(std::strtoull(cmd.c_str() + 6, nullptr, 10));
-      std::printf("RNG reseeded\n");
       return true;
     }
     if (cmd == "\\stats" || cmd.rfind("\\stats ", 0) == 0) {
@@ -130,8 +125,8 @@ bool Dispatch(Database* db, const std::string& line, bool serving) {
       return true;
     }
     std::printf("unknown meta-command; try \\d [table], \\explain <q>, "
-                "\\stats [pattern], \\trace <f>, \\seed <n>, \\save <f>, "
-                "\\load <f>, \\q\n");
+                "\\stats [pattern], \\trace <f>, \\save <f>, \\load <f>, "
+                "\\q\n");
     return true;
   }
   auto result = db->Query(trimmed);
@@ -181,8 +176,7 @@ void PrintBanner(bool serving, bool remote, const char* socket_path) {
       "0 = unlimited, default 50000000),\n"
       "          SET conf_fallback = on|off (over-budget conf() answers "
       "as seeded aconf with a warning; default on),\n"
-      "          SET fallback_epsilon|fallback_delta = <p>, "
-      "SET exact_solver = dtree|legacy,\n"
+      "          SET fallback_epsilon|fallback_delta = <p>,\n"
       "          SET engine = batch|row, SET num_threads = <n>,\n"
       "          SET dtree_cache = on|off (reuse compiled lineage across "
       "statements; default on, stats under \\d),\n"
@@ -207,8 +201,8 @@ void PrintBanner(bool serving, bool remote, const char* socket_path) {
       "observability: EXPLAIN [ANALYZE] <query>; SHOW STATS [LIKE 'pat']; "
       "\\stats [pattern|--prom]; \\trace <file>\n"
       "meta-commands: \\d [table], \\explain <q>, \\stats [pattern], "
-      "\\trace <f>, \\seed <n>, \\save <f>, \\load <f>, \\q\n"
-      "sessions: SET knobs, \\seed, and asserted evidence are PER SESSION; "
+      "\\trace <f>, \\save <f>, \\load <f>, \\q\n"
+      "sessions: SET knobs and asserted evidence are PER SESSION; "
       "tables and the world table are shared\n");
   if (serving) {
     std::printf("serving sessions at %s — connect with: shell --connect %s\n",

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "src/common/str_util.h"
-#include "src/conf/exact.h"
+#include "src/lineage/compiled_dnf.h"
 
 namespace maybms {
 
@@ -82,7 +82,7 @@ std::vector<Atom> ConstraintStore::DeterminedAtoms() const {
 // returns), so CommitClauses builds the cache first, validates the
 // probability, and only then installs both. The caller's ExactOptions
 // govern the compile — the node budget still bounds pathological
-// evidence (legacy-solver mode solves separately; parity/ablation only).
+// evidence.
 Result<std::shared_ptr<CompiledEvidence>> BuildCompiledEvidence(
     const std::vector<Condition>& clauses, const WorldTable& wt,
     const ExactOptions& exact) {
@@ -94,12 +94,10 @@ Result<std::shared_ptr<CompiledEvidence>> BuildCompiledEvidence(
                            c.atoms().end());
     compiled->offsets.push_back(static_cast<uint32_t>(compiled->atoms.size()));
   }
-  ExactOptions tree_options = exact;
-  tree_options.use_legacy_solver = false;
   DTreeCompiler compiler(CompiledDnf(compiled->atoms.data(),
                                      compiled->offsets.data(), clauses.size(),
                                      wt),
-                         tree_options);
+                         exact);
   MAYBMS_ASSIGN_OR_RETURN(compiled->tree, compiler.Compile());
   return compiled;
 }
@@ -142,7 +140,7 @@ void ConstraintStore::RebuildVariables() {
 
 Status ConstraintStore::CommitClauses(std::vector<Condition> clauses,
                                       const WorldTable& wt,
-                                      const ExactOptions& exact, ThreadPool* pool,
+                                      const ExactOptions& exact,
                                       const char* what) {
   // Canonical order + dedup (O(n log n)) and the budget check come BEFORE
   // the quadratic absorption pass, so oversized evidence is rejected
@@ -176,15 +174,10 @@ Status ConstraintStore::CommitClauses(std::vector<Condition> clauses,
   }
   // Compile the evidence d-tree; its root value IS the exact P(C) (clamped
   // like ExactConfidence clamps), so the cache build and the probability
-  // computation are one pass. Legacy-solver mode keeps the recursive solve
-  // as the P(C) of record (bit-identical by contract) for parity tests.
+  // computation are one pass.
   MAYBMS_ASSIGN_OR_RETURN(std::shared_ptr<CompiledEvidence> compiled,
                           BuildCompiledEvidence(clauses, wt, exact));
   double p = std::min(1.0, std::max(0.0, compiled->tree.root_value()));
-  if (exact.use_legacy_solver) {
-    MAYBMS_ASSIGN_OR_RETURN(
-        p, ExactConfidence(Dnf(clauses), wt, exact, nullptr, pool));
-  }
   if (p <= 0) {
     return Status::InvalidArgument(StringFormat(
         "inconsistent evidence: %s has probability 0; evidence unchanged", what));
@@ -203,7 +196,7 @@ Status ConstraintStore::CommitClauses(std::vector<Condition> clauses,
 }
 
 Status ConstraintStore::Conjoin(const Dnf& evidence, const WorldTable& wt,
-                                const ExactOptions& exact, ThreadPool* pool) {
+                                const ExactOptions& exact) {
   if (evidence.HasEmptyClause()) return Status::OK();  // C ∧ true = C
   if (evidence.IsEmpty()) {
     return Status::InvalidArgument(
@@ -231,13 +224,13 @@ Status ConstraintStore::Conjoin(const Dnf& evidence, const WorldTable& wt,
       }
     }
   }
-  return CommitClauses(std::move(flattened), wt, exact, pool,
+  return CommitClauses(std::move(flattened), wt, exact,
                        "the asserted constraint");
 }
 
 Status ConstraintStore::Substitute(const std::vector<Atom>& determined,
                                    const WorldTable& wt,
-                                   const ExactOptions& exact, ThreadPool* pool) {
+                                   const ExactOptions& exact) {
   if (determined.empty() || !active()) return Status::OK();
   std::vector<Condition> next;
   next.reserve(clauses_.size());
@@ -256,7 +249,7 @@ Status ConstraintStore::Substitute(const std::vector<Atom>& determined,
     }
     next.push_back(std::move(*reduced));
   }
-  return CommitClauses(std::move(next), wt, exact, pool,
+  return CommitClauses(std::move(next), wt, exact,
                        "the residual constraint");
 }
 
@@ -268,12 +261,12 @@ void ConstraintStore::Clear() {
 }
 
 Status ConstraintStore::Load(std::vector<Condition> clauses, const WorldTable& wt,
-                             const ExactOptions& exact, ThreadPool* pool) {
+                             const ExactOptions& exact) {
   if (clauses.empty()) {
     Clear();
     return Status::OK();
   }
-  return CommitClauses(std::move(clauses), wt, exact, pool,
+  return CommitClauses(std::move(clauses), wt, exact,
                        "the restored constraint");
 }
 

@@ -25,8 +25,6 @@
 
 namespace maybms {
 
-class ThreadPool;
-
 /// The restriction the evidence places on one random variable: `var` takes
 /// a value in `allowed` in every world satisfying the constraint. Only
 /// variables mentioned in *every* clause are restricted (a clause that does
@@ -102,14 +100,14 @@ class ConstraintStore {
   /// inconsistent (P(C) = 0) or the flattened form exceeds the clause
   /// budget, the store is left UNCHANGED and a non-OK Status is returned.
   Status Conjoin(const Dnf& evidence, const WorldTable& wt,
-                 const ExactOptions& exact, ThreadPool* pool);
+                 const ExactOptions& exact);
 
   /// Substitutes determined atoms var := asg into the constraint (the
   /// pruning pass has folded them into the database): matching atoms are
   /// removed from every clause; a clause shrinking to empty makes C true
   /// and deactivates the store. P(C) is recomputed once at the end.
   Status Substitute(const std::vector<Atom>& determined, const WorldTable& wt,
-                    const ExactOptions& exact, ThreadPool* pool);
+                    const ExactOptions& exact);
 
   /// Drops all evidence (C ≡ true). Pruned rows are not resurrected:
   /// evidence already substituted into the database stays materialized.
@@ -118,7 +116,7 @@ class ConstraintStore {
   /// Replaces the store's contents wholesale (persistence restore).
   /// Clauses are simplified and P(C) recomputed; rejects P(C) = 0.
   Status Load(std::vector<Condition> clauses, const WorldTable& wt,
-              const ExactOptions& exact, ThreadPool* pool);
+              const ExactOptions& exact);
 
   /// True iff `cond ∧ C` is satisfiable with positive probability — i.e.
   /// some clause of C merges consistently with `cond` and every atom of
@@ -135,8 +133,7 @@ class ConstraintStore {
   /// enforce the clause budget first).
   static void Simplify(std::vector<Condition>* clauses);
   Status CommitClauses(std::vector<Condition> clauses, const WorldTable& wt,
-                       const ExactOptions& exact, ThreadPool* pool,
-                       const char* what);
+                       const ExactOptions& exact, const char* what);
   void RebuildVariables();
   std::vector<VarRestriction> ComputeRestrictions() const;
 

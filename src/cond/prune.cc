@@ -22,8 +22,7 @@ const Atom* FindDetermined(const std::vector<Atom>& determined, VarId var) {
 
 Result<PruneStats> PruneConditionedWorlds(Catalog* catalog,
                                           ConstraintStore* store_ptr,
-                                          const ExactOptions& exact,
-                                          ThreadPool* pool) {
+                                          const ExactOptions& exact) {
   PruneStats stats;
   ConstraintStore& store = *store_ptr;
   if (!store.active()) return stats;
@@ -104,7 +103,7 @@ Result<PruneStats> PruneConditionedWorlds(Catalog* catalog,
     ++stats.vars_collapsed;
   }
   MAYBMS_RETURN_NOT_OK(
-      store.Substitute(determined, catalog->world_table(), exact, pool));
+      store.Substitute(determined, catalog->world_table(), exact));
   return stats;
 }
 

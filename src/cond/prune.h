@@ -41,7 +41,6 @@ namespace maybms {
 class Catalog;
 class ConstraintStore;
 struct ExactOptions;
-class ThreadPool;
 
 /// Counters describing one pruning pass.
 struct PruneStats {
@@ -60,7 +59,6 @@ struct PruneStats {
 /// allow_prune).
 Result<PruneStats> PruneConditionedWorlds(Catalog* catalog,
                                           ConstraintStore* store,
-                                          const ExactOptions& exact,
-                                          ThreadPool* pool);
+                                          const ExactOptions& exact);
 
 }  // namespace maybms

@@ -1,9 +1,6 @@
 #include "src/conf/exact.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cmath>
-#include <limits>
 #include <unordered_map>
 
 #include "src/common/thread_pool.h"
@@ -11,38 +8,9 @@
 #include "src/lineage/dtree_cache.h"
 #include "src/obs/metrics.h"
 
-// The LEGACY recursive solver (ExactOptions::use_legacy_solver). The
-// default path compiles a d-tree instead (src/lineage/dtree.cc) and is
-// substantially faster; this recursion is the reference its bit-identity
-// contract is defined against, kept for parity tests and ablations.
-
 namespace maybms {
 
 namespace {
-
-// A sub-DNF is a sorted, duplicate-free vector of interned clause ids.
-using ClauseSet = std::vector<ClauseId>;
-
-uint64_t HashClauseSet(const ClauseSet& set) {
-  uint64_t h = 0x9e3779b97f4a7c15ULL;
-  for (ClauseId id : set) {
-    h ^= id + 0x9e3779b9ULL + (h << 6) + (h >> 2);
-  }
-  return h;
-}
-
-struct MemoKey {
-  ClauseSet set;
-  uint64_t hash = 0;
-
-  bool operator==(const MemoKey& other) const {
-    return hash == other.hash && set == other.set;
-  }
-};
-
-struct MemoKeyHash {
-  size_t operator()(const MemoKey& k) const { return static_cast<size_t>(k.hash); }
-};
 
 // True iff a's atoms are a subset of b's (both sorted by var, unique vars).
 bool SpanSubset(AtomSpan a, AtomSpan b) {
@@ -55,444 +23,6 @@ bool SpanSubset(AtomSpan a, AtomSpan b) {
   }
   return true;
 }
-
-class ExactSolver {
- public:
-  ExactSolver(CompiledDnf dnf, const ExactOptions& options, ExactStats* stats)
-      : dnf_(std::move(dnf)), options_(options), stats_(stats) {
-    size_t n_vars = dnf_.NumVars();
-    var_occ_.assign(n_vars, 0);
-    var_epoch_.assign(n_vars, 0);
-    var_pos_.assign(n_vars, 0);
-    asg_epoch_.assign(dnf_.NumVars() == 0 ? 0 : TotalProbSlots(), 0);
-  }
-
-  Result<double> SolveRoot(ThreadPool* pool) {
-    // An empty clause (a valid DNF) can only occur in the root set:
-    // AssignVar short-circuits instead of interning empty reductions, and
-    // every other derived set is a subset of its parent. Checking here
-    // keeps a per-node linear scan out of Solve().
-    std::vector<ClauseId> root = dnf_.RootSet();
-    for (ClauseId id : root) {
-      if (dnf_.ClauseSize(id) == 0) {
-        if (stats_) ++stats_->steps;
-        BumpSteps();
-        return 1.0;
-      }
-    }
-    if (pool == nullptr) return Solve(std::move(root), 0);
-    return SolveRootParallel(std::move(root), pool);
-  }
-
-  // Component-parallel root: probe the (subsumption-reduced) root set for
-  // variable-disjoint components; when there is more than one, solve each
-  // with a private solver over its own copy of the clause store. The
-  // serial recursion computes exactly the same per-component probabilities
-  // (components never share clause ids, so the shared memo contributes no
-  // cross-component values) and folds them with the identical
-  // `none *= 1 - p_i` product in component order — the parallel result is
-  // bit-for-bit the serial one at any thread count.
-  Result<double> SolveRootParallel(std::vector<ClauseId> root, ThreadPool* pool) {
-    if (root.empty()) return Solve(std::move(root), 0);
-    ClauseSet set = std::move(root);
-    if (options_.remove_subsumed) RemoveSubsumed(&set);
-    std::vector<ClauseSet> components =
-        set.size() > 1 ? Components(set) : std::vector<ClauseSet>{};
-    // Non-decomposable root: hand the already-reduced set to the serial
-    // recursion (its own subsumption pass is idempotent — same result,
-    // one less scan).
-    if (components.size() <= 1) return Solve(std::move(set), 0);
-    if (stats_) {
-      ++stats_->steps;
-      ++stats_->decompositions;
-    }
-    // One cross-shard step budget, seeded with the root node itself.
-    std::atomic<uint64_t> shared_steps{steps_};
-    shared_steps_ = &shared_steps;
-    BumpSteps();
-    const size_t n = components.size();
-    // Shard components into at most kRootShards contiguous ranges: each
-    // shard copies the clause store once and solves its components with one
-    // private solver. The shard count is FIXED (not thread-derived) so the
-    // per-solver max_steps budget — and with it success/failure — cannot
-    // depend on the thread count.
-    constexpr size_t kRootShards = 16;
-    const size_t grain = std::max<size_t>(1, (n + kRootShards - 1) / kRootShards);
-    const size_t num_shards = (n + grain - 1) / grain;
-    std::vector<double> probs(n, 0.0);
-    std::vector<Status> statuses(n, Status::OK());
-    std::vector<ExactStats> shard_stats(stats_ != nullptr ? num_shards : 0);
-    pool->ParallelFor(0, n, grain, [&](size_t chunk_begin, size_t chunk_end) {
-      CompiledDnf copy = dnf_;
-      ExactSolver sub(std::move(copy), options_,
-                      stats_ != nullptr ? &shard_stats[chunk_begin / grain] : nullptr);
-      sub.shared_steps_ = &shared_steps;
-      for (size_t i = chunk_begin; i < chunk_end; ++i) {
-        Result<double> r = sub.Solve(std::move(components[i]), 1);
-        if (r.ok()) {
-          probs[i] = *r;
-        } else {
-          statuses[i] = r.status();
-        }
-      }
-    });
-    shared_steps_ = nullptr;
-    for (const Status& s : statuses) {
-      if (!s.ok()) return s;  // first failed component in order
-    }
-    if (stats_) {
-      for (const ExactStats& cs : shard_stats) {
-        stats_->steps += cs.steps;
-        stats_->decompositions += cs.decompositions;
-        stats_->shannon_expansions += cs.shannon_expansions;
-        stats_->max_depth = std::max(stats_->max_depth, cs.max_depth);
-        stats_->cache_hits += cs.cache_hits;
-        stats_->cache_entries += cs.cache_entries;
-      }
-    }
-    double none = 1.0;
-    for (double p : probs) none *= (1.0 - p);
-    return 1.0 - none;
-  }
-
- private:
-  size_t TotalProbSlots() const {
-    size_t slots = 0;
-    for (size_t v = 0; v < dnf_.NumVars(); ++v) slots += dnf_.DomainSize(v);
-    return slots;
-  }
-  size_t ProbSlot(LocalVar v, AsgId a) const {
-    return static_cast<size_t>(dnf_.VarProbs(v) - dnf_.VarProbs(0)) + a;
-  }
-
-  // Counts one visited recursion node; returns the value to compare
-  // against max_steps. In component-parallel mode the budget is the SHARED
-  // cross-shard total (matching the serial cumulative semantics): whether
-  // the total ever crosses max_steps depends only on the amount of work,
-  // not on scheduling, so success/failure stays deterministic at any
-  // thread count.
-  uint64_t BumpSteps() {
-    ++steps_;
-    if (shared_steps_ != nullptr) {
-      return shared_steps_->fetch_add(1, std::memory_order_relaxed) + 1;
-    }
-    return steps_;
-  }
-
-  Result<double> Solve(ClauseSet set, uint64_t depth) {
-    if (stats_) {
-      ++stats_->steps;
-      stats_->max_depth = std::max(stats_->max_depth, depth);
-    }
-    uint64_t visited = BumpSteps();
-    if (options_.max_steps != 0 && visited > options_.max_steps) {
-      return Status::OutOfRange("exact confidence computation exceeded max_steps");
-    }
-
-    if (set.empty()) return 0.0;
-    if (options_.remove_subsumed) RemoveSubsumed(&set);
-
-    // Single clause: product of independent atom probabilities.
-    if (set.size() == 1) return dnf_.ClauseProb(set[0]);
-
-    // Memoization: distinct Shannon branches often reconverge to the same
-    // residual sub-DNF (the sharing exploited by ws-trees). Interning makes
-    // the key a plain id vector, moved (not copied) into the table. Sets of
-    // two clauses resolve in a couple of nodes — caching them costs more
-    // than re-solving.
-    bool use_cache = options_.use_cache && set.size() > 2;
-    MemoKey key;
-    if (use_cache) {
-      key.hash = HashClauseSet(set);
-      key.set = std::move(set);
-      auto it = memo_.find(key);
-      if (it != memo_.end()) {
-        ++cache_hits_;
-        if (stats_) ++stats_->cache_hits;
-        return it->second;
-      }
-    }
-    const ClauseSet& work = use_cache ? key.set : set;
-    MAYBMS_ASSIGN_OR_RETURN(double p, SolveUncached(work, depth));
-    // Hierarchical lineage decomposes without ever reconverging; stop
-    // filling a cache that has produced no hit by the time it holds many
-    // thousands of entries (probes stay on — they only cost the hash
-    // already computed above).
-    bool keep_filling = cache_hits_ > 0 || memo_.size() < kCacheNoHitCap;
-    if (use_cache && keep_filling &&
-        (options_.max_cache_entries == 0 || memo_.size() < options_.max_cache_entries)) {
-      memo_.emplace(std::move(key), p);
-      if (stats_) stats_->cache_entries = memo_.size();
-    }
-    return p;
-  }
-
-  Result<double> SolveUncached(const ClauseSet& set, uint64_t depth) {
-    // (1) Decomposition into variable-disjoint independent components
-    // (Components returns empty when the set is one component).
-    std::vector<ClauseSet> components = Components(set);
-    if (components.size() > 1) {
-      if (stats_) ++stats_->decompositions;
-      double none = 1.0;
-      for (ClauseSet& comp : components) {
-        MAYBMS_ASSIGN_OR_RETURN(double p, Solve(std::move(comp), depth + 1));
-        none *= (1.0 - p);
-      }
-      return 1.0 - none;
-    }
-
-    // (2) Variable elimination: Shannon expansion over one variable.
-    LocalVar var = ChooseVariable(set);
-    if (stats_) ++stats_->shannon_expansions;
-
-    // Assignments of `var` actually mentioned by the sub-DNF.
-    std::vector<AsgId> mentioned;
-    for (ClauseId id : set) {
-      const Atom* atom = FindVar(dnf_.Clause(id), var);
-      if (atom != nullptr) mentioned.push_back(atom->asg);
-    }
-    std::sort(mentioned.begin(), mentioned.end());
-    mentioned.erase(std::unique(mentioned.begin(), mentioned.end()), mentioned.end());
-
-    double total = 0;
-    double mentioned_mass = 0;
-    for (AsgId a : mentioned) {
-      double pa = dnf_.AtomProbLocal(var, a);
-      mentioned_mass += pa;
-      if (pa == 0.0) continue;
-      bool valid = false;
-      ClauseSet assigned = AssignVar(set, var, a, &valid);
-      double sub;
-      if (valid) {
-        sub = 1.0;
-        // The branch is decided, but it still counts as one visited node so
-        // step accounting stays comparable across representations.
-        if (stats_) ++stats_->steps;
-        BumpSteps();
-      } else {
-        MAYBMS_ASSIGN_OR_RETURN(sub, Solve(std::move(assigned), depth + 1));
-      }
-      total += pa * sub;
-    }
-    // Residual branch: var takes an assignment not mentioned in the DNF;
-    // every clause mentioning var is false there.
-    double other_mass = 1.0 - mentioned_mass;
-    if (other_mass > 1e-15) {
-      ClauseSet rest;
-      rest.reserve(set.size());
-      for (ClauseId id : set) {
-        if (FindVar(dnf_.Clause(id), var) == nullptr) rest.push_back(id);
-      }
-      MAYBMS_ASSIGN_OR_RETURN(double sub, Solve(std::move(rest), depth + 1));
-      total += other_mass * sub;
-    }
-    return total;
-  }
-
-  static const Atom* FindVar(AtomSpan span, LocalVar var) {
-    const Atom* it = std::lower_bound(
-        span.begin(), span.end(), var,
-        [](const Atom& a, LocalVar v) { return a.var < v; });
-    if (it != span.end() && it->var == var) return it;
-    return nullptr;
-  }
-
-  // Conditions the set on var := asg. Clauses with a conflicting atom drop
-  // out; a clause shrinking to empty makes the branch valid (*valid set).
-  ClauseSet AssignVar(const ClauseSet& set, LocalVar var, AsgId asg, bool* valid) {
-    ClauseSet out;
-    out.reserve(set.size());
-    for (ClauseId id : set) {
-      AtomSpan span = dnf_.Clause(id);
-      const Atom* atom = FindVar(span, var);
-      if (atom == nullptr) {
-        out.push_back(id);
-        continue;
-      }
-      if (atom->asg != asg) continue;  // clause false under this branch
-      if (span.size == 1) {
-        *valid = true;
-        return {};
-      }
-      scratch_atoms_.clear();
-      for (const Atom& a : span) {
-        if (a.var != var) scratch_atoms_.push_back(a);
-      }
-      out.push_back(dnf_.Intern(scratch_atoms_.data(), scratch_atoms_.size()));
-    }
-    std::sort(out.begin(), out.end());
-    out.erase(std::unique(out.begin(), out.end()), out.end());
-    return out;
-  }
-
-  // Connected components under "shares a variable", as sorted id sets.
-  // Returns an empty vector for the (frequent) single-component case so
-  // the caller skips materialization entirely.
-  std::vector<ClauseSet> Components(const ClauseSet& set) {
-    // Union-find over positions in `set`, joined through shared variables
-    // via an epoch-stamped var -> first-position table.
-    parent_.resize(set.size());
-    for (size_t i = 0; i < set.size(); ++i) parent_[i] = i;
-    auto find = [&](size_t x) {
-      while (parent_[x] != x) {
-        parent_[x] = parent_[parent_[x]];
-        x = parent_[x];
-      }
-      return x;
-    };
-    ++epoch_;
-    for (size_t i = 0; i < set.size(); ++i) {
-      for (const Atom& a : dnf_.Clause(set[i])) {
-        if (var_epoch_[a.var] == epoch_) {
-          parent_[find(i)] = find(var_pos_[a.var]);
-        } else {
-          var_epoch_[a.var] = epoch_;
-          var_pos_[a.var] = static_cast<uint32_t>(i);
-        }
-      }
-    }
-    size_t root0 = find(0);
-    bool single = true;
-    for (size_t i = 1; i < set.size(); ++i) {
-      if (find(i) != root0) {
-        single = false;
-        break;
-      }
-    }
-    if (single) return {};
-    std::vector<ClauseSet> components;
-    std::unordered_map<size_t, size_t> root_to_component;
-    for (size_t i = 0; i < set.size(); ++i) {
-      size_t root = find(i);
-      auto [it, inserted] = root_to_component.try_emplace(root, components.size());
-      if (inserted) components.emplace_back();
-      components[it->second].push_back(set[i]);
-    }
-    return components;  // position order preserves the sets' sortedness
-  }
-
-  LocalVar ChooseVariable(const ClauseSet& set) {
-    // Occurrence counts over an epoch-stamped array: O(atoms), no allocs.
-    ++epoch_;
-    touched_.clear();
-    for (ClauseId id : set) {
-      for (const Atom& a : dnf_.Clause(id)) {
-        if (var_epoch_[a.var] != epoch_) {
-          var_epoch_[a.var] = epoch_;
-          var_occ_[a.var] = 0;
-          touched_.push_back(a.var);
-        }
-        ++var_occ_[a.var];
-      }
-    }
-    switch (options_.heuristic) {
-      case EliminationHeuristic::kFirstVariable: {
-        // Local ids preserve global id order.
-        return *std::min_element(touched_.begin(), touched_.end());
-      }
-      case EliminationHeuristic::kMaxOccurrence: {
-        LocalVar best = touched_[0];
-        uint32_t best_n = 0;
-        for (LocalVar v : touched_) {
-          uint32_t n = var_occ_[v];
-          if (n > best_n || (n == best_n && v < best)) {
-            best = v;
-            best_n = n;
-          }
-        }
-        return best;
-      }
-      case EliminationHeuristic::kMinCostEstimate: {
-        // Distinct assignments per variable via a second epoch array over
-        // flattened (var, asg) probability slots.
-        ++asg_pass_;
-        asg_count_.assign(touched_.size(), 0);
-        // Map var -> index in touched_ through var_pos_ (reuse the slot).
-        for (size_t i = 0; i < touched_.size(); ++i) {
-          var_pos_[touched_[i]] = static_cast<uint32_t>(i);
-        }
-        for (ClauseId id : set) {
-          for (const Atom& a : dnf_.Clause(id)) {
-            size_t slot = ProbSlot(a.var, a.asg);
-            if (asg_epoch_[slot] != asg_pass_) {
-              asg_epoch_[slot] = asg_pass_;
-              ++asg_count_[var_pos_[a.var]];
-            }
-          }
-        }
-        LocalVar best = touched_[0];
-        double best_cost = std::numeric_limits<double>::infinity();
-        size_t total = set.size();
-        for (size_t i = 0; i < touched_.size(); ++i) {
-          LocalVar v = touched_[i];
-          uint32_t n = var_occ_[v];
-          double branches = static_cast<double>(asg_count_[i]) + 1;
-          double survivors = static_cast<double>(total - n) + 1;
-          double cost = branches * survivors / (static_cast<double>(n) + 1);
-          if (cost < best_cost || (cost == best_cost && v < best)) {
-            best = v;
-            best_cost = cost;
-          }
-        }
-        return best;
-      }
-    }
-    return touched_[0];
-  }
-
-  void RemoveSubsumed(ClauseSet* set) {
-    // Interned ids are already duplicate-free; only pairwise absorption
-    // remains (a clause is redundant if a more general clause's atoms are a
-    // subset of its atoms). Quadratic, so capped like the Dnf version.
-    constexpr size_t kSubsumptionLimit = 512;
-    if (set->size() > kSubsumptionLimit) return;
-
-    order_.assign(set->begin(), set->end());
-    std::sort(order_.begin(), order_.end(), [&](ClauseId a, ClauseId b) {
-      return dnf_.ClauseSize(a) < dnf_.ClauseSize(b);
-    });
-    ClauseSet kept;
-    kept.reserve(order_.size());
-    for (ClauseId cand : order_) {
-      AtomSpan cand_span = dnf_.Clause(cand);
-      bool subsumed = false;
-      for (ClauseId k : kept) {
-        if (SpanSubset(dnf_.Clause(k), cand_span)) {
-          subsumed = true;
-          break;
-        }
-      }
-      if (!subsumed) kept.push_back(cand);
-    }
-    std::sort(kept.begin(), kept.end());
-    *set = std::move(kept);
-  }
-
-  static constexpr size_t kCacheNoHitCap = 16384;
-
-  CompiledDnf dnf_;
-  const ExactOptions& options_;
-  ExactStats* stats_;
-  uint64_t steps_ = 0;
-  // Component-parallel mode: the cross-shard step total the max_steps
-  // budget applies to (null in serial mode, where steps_ is the budget).
-  std::atomic<uint64_t>* shared_steps_ = nullptr;
-  uint64_t cache_hits_ = 0;
-  std::unordered_map<MemoKey, double, MemoKeyHash> memo_;
-
-  // Reusable scratch (epoch-stamped so per-node work is O(touched)).
-  std::vector<uint32_t> var_occ_;
-  std::vector<uint64_t> var_epoch_;
-  std::vector<uint32_t> var_pos_;
-  std::vector<uint64_t> asg_epoch_;
-  std::vector<uint32_t> asg_count_;
-  std::vector<LocalVar> touched_;
-  std::vector<size_t> parent_;
-  std::vector<Atom> scratch_atoms_;
-  std::vector<ClauseId> order_;
-  uint64_t epoch_ = 0;
-  uint64_t asg_pass_ = 0;
-};
 
 // ---------------------------------------------------------------------------
 // Component-level cache path (ExactOptions::component_cache)
@@ -519,12 +49,12 @@ class ExactSolver {
 // documented CompileRootParallel boundary behavior); values that complete
 // are bit-identical regardless.
 
-// The compilers' root absorption pass (FullReduce / RemoveSubsumed): the
+// The compiler's root absorption pass (FullReduce): the
 // kept set is exactly the clauses with no strict subset present, which is
 // order-independent, so this standalone replication yields the same
 // (ascending) set.
 void ReduceRootSet(const CompiledDnf& dnf, std::vector<ClauseId>* set) {
-  constexpr size_t kSubsumptionLimit = 512;  // matches both solvers
+  constexpr size_t kSubsumptionLimit = 512;  // matches the compiler
   if (set->size() > kSubsumptionLimit) return;
   std::vector<ClauseId> order(*set);
   std::sort(order.begin(), order.end(), [&](ClauseId a, ClauseId b) {
@@ -549,8 +79,8 @@ void ReduceRootSet(const CompiledDnf& dnf, std::vector<ClauseId>* set) {
 
 // Connected components of `set` under "shares a variable", in
 // first-occurrence order with each component ascending (position order
-// over the sorted set) — the partition and order Components() produces in
-// both compilers.
+// over the sorted set) — the partition and order the compiler's
+// Components() produces.
 std::vector<std::vector<ClauseId>> RootComponents(const CompiledDnf& dnf,
                                                   const std::vector<ClauseId>& set) {
   std::vector<size_t> parent(set.size());
@@ -668,25 +198,11 @@ bool ComponentConfidence(const CompiledDnf& dnf, const WorldTable& wt,
   return true;
 }
 
-}  // namespace
-
-namespace {
-
 Result<double> ExactConfidenceImpl(CompiledDnf dnf, const WorldTable& wt,
                                    const ExactOptions& options,
                                    ExactStats* stats, ThreadPool* pool) {
   double p;
   ConfPhaseCounters* obs = options.counters;
-  if (options.use_legacy_solver) {
-    // The legacy recursion is the reference the d-tree (and with it the
-    // compilation cache's) bit-identity contract is defined against: it
-    // always recomputes, never consults or fills the cache.
-    if (obs != nullptr) obs->compiles.fetch_add(1, std::memory_order_relaxed);
-    ScopedNsTimer timer(obs != nullptr ? &obs->exact_ns : nullptr);
-    ExactSolver solver(std::move(dnf), options, stats);
-    MAYBMS_ASSIGN_OR_RETURN(p, solver.SolveRoot(pool));
-    return std::min(1.0, std::max(0.0, p));
-  }
   // Cross-statement compilation cache (src/lineage/dtree_cache.h), keyed
   // by canonical lineage content + the world table's distribution version
   // + an options fingerprint (budget included — a value compiled under a

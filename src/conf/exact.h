@@ -2,25 +2,21 @@
 // "Conditioning Probabilistic Databases", VLDB 2008).
 //
 // Given a DNF whose clauses are conjunctive local conditions, the
-// probability is computed by recursively applying
+// probability is computed by applying
 //   (1) DECOMPOSITION of the DNF into independent subsets of clauses
 //       (subsets that do not share variables): the probabilities combine as
-//       P = 1 - Π(1 - P_i); and
-//   (2) VARIABLE ELIMINATION (Shannon expansion over the assignments of one
+//       P = 1 - Π(1 - P_i);
+//   (2) INDEPENDENT-AND factorisation of a connected DNF that is the cross
+//       product of two DNFs over disjoint variables: P = P_1 · P_2 (the ⊙
+//       node of Olteanu, Huang & Koch's d-trees, ICDE 2010); and
+//   (3) VARIABLE ELIMINATION (Shannon expansion over the assignments of one
 //       variable): P = Σ_a P(x=a)·P(DNF | x:=a) + P(other)·P(DNF \ x),
 // with cost-estimation heuristics for choosing which variable to eliminate.
 //
-// Two implementations share this entry point:
-//   - the d-tree KNOWLEDGE COMPILER (src/lineage/dtree.h, the default):
-//     compiles the rule applications into a hash-consed decomposition tree
-//     whose bottom-up evaluation is the probability — with word-wide mask
-//     prefilters, arena clause sets and closed 1-OF nodes making the same
-//     decisions far cheaper; and
-//   - the LEGACY RECURSIVE SOLVER (this file, ExactOptions::
-//     use_legacy_solver): the direct recursion the compiler's decisions
-//     are defined against.
-// Both return bit-identical probabilities on every input (pinned by
-// tests/dtree_property_test.cc); only step/budget counts differ.
+// The rule applications are recorded by the d-tree KNOWLEDGE COMPILER
+// (src/lineage/dtree.h) as a hash-consed decomposition tree whose
+// bottom-up evaluation is the probability. This file adds the
+// cross-statement compilation cache and its component-level reuse on top.
 //
 // ExactOptions / ExactStats / EliminationHeuristic live in
 // src/lineage/dtree.h (the compilation layer) and are re-exported here.
@@ -44,8 +40,8 @@ class ThreadPool;
 ///
 /// With a non-null `pool`, the root-level DECOMPOSITION step fans its
 /// variable-connected components out across threads: each component gets a
-/// private compiler/solver (own hash-cons table, own scratch, own copy of
-/// the clause store) and the component probabilities fold as
+/// private compiler (own hash-cons table, own scratch, own copy of the
+/// clause store) and the component probabilities fold as
 /// P = 1 − Π(1 − P_i) in component order — the same arithmetic, in the
 /// same order, as the serial pass, so the returned probability is
 /// bit-identical at any thread count (including pool == nullptr).

@@ -24,6 +24,4 @@ Result<std::string> Database::Explain(std::string_view sql) {
   return session_->Explain(sql);
 }
 
-void Database::Reseed(uint64_t seed) { session_->Reseed(seed); }
-
 }  // namespace maybms

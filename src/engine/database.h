@@ -76,9 +76,6 @@ class Database {
   /// validated at the next statement (see Session::options()).
   DatabaseOptions& options() { return session_->options(); }
 
-  /// Reseeds the session RNG (aconf reproducibility).
-  void Reseed(uint64_t seed);
-
   /// The root session (the one this facade's Query/Execute run on).
   Session& session() { return *session_; }
   /// The manager owning the shared catalog: CreateSession() here opens

@@ -59,7 +59,7 @@ constexpr unsigned kMaxThreads = 4096;
 
 Result<uint64_t> SetUint(const SetStmt& set, const char* expects,
                          uint64_t max_value) {
-  // Word values ('on', 'legacy', ...) carry no value_num: not a number.
+  // Word values ('on', 'row', ...) carry no value_num: not a number.
   if (!set.value_num || set.value_text.empty()) return KnobError(set, expects);
   const char* text = set.value_text.c_str();
   char* end = nullptr;
@@ -503,8 +503,7 @@ ThreadPool* SessionManager::SharedPool(unsigned want) {
 Session::Session(SessionManager* manager, SessionOptions options)
     : manager_(manager),
       id_(manager->next_session_id_.fetch_add(1, std::memory_order_relaxed)),
-      options_(std::move(options)),
-      rng_(options_.seed) {
+      options_(std::move(options)) {
   // Reconcile the session's view of the DATABASE-level knobs with the
   // shared state, under the catalog lock (sessions may be created while
   // others run statements). An option differing from the compiled-in
@@ -534,8 +533,6 @@ Session::~Session() {
   manager_->live_sessions_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
-void Session::Reseed(uint64_t seed) { rng_ = Rng(seed); }
-
 Result<QueryResult> Session::RunSet(const SetStmt& set) {
   ExecOptions& exec = options_.exec;
   if (set.name == "dtree_node_budget" || set.name == "max_steps") {
@@ -562,15 +559,6 @@ Result<QueryResult> Session::RunSet(const SetStmt& set) {
     MAYBMS_ASSIGN_OR_RETURN(exec.fallback_epsilon, SetFraction(set));
   } else if (set.name == "fallback_delta") {
     MAYBMS_ASSIGN_OR_RETURN(exec.fallback_delta, SetFraction(set));
-  } else if (set.name == "exact_solver") {
-    if (set.value_text == "dtree") {
-      exec.exact.use_legacy_solver = false;
-    } else if (set.value_text == "legacy") {
-      exec.exact.use_legacy_solver = true;
-    } else {
-      return Status::InvalidArgument(
-          "SET exact_solver expects 'dtree' or 'legacy'");
-    }
   } else if (set.name == "engine") {
     if (set.value_text == "row") {
       exec.engine = ExecEngine::kRow;
@@ -618,9 +606,9 @@ Result<QueryResult> Session::RunSet(const SetStmt& set) {
     return Status::InvalidArgument(StringFormat(
         "unknown setting '%s' (supported: dtree_node_budget, dtree_cache, "
         "dtree_cache_budget, dtree_component_cache, snapshot_chunk_rows, "
-        "conf_fallback, fallback_epsilon, fallback_delta, exact_solver, "
-        "engine, num_threads, metrics, optimizer, optimizer_semijoin, "
-        "use_indexes, trace_sample)",
+        "conf_fallback, fallback_epsilon, fallback_delta, engine, "
+        "num_threads, metrics, optimizer, optimizer_semijoin, use_indexes, "
+        "trace_sample)",
         set.name.c_str()));
   }
   return QueryResult(TableData{},
@@ -854,7 +842,6 @@ Result<QueryResult> Session::RunOrdinary(const Statement& stmt,
   }
   ExecContext ctx;
   ctx.catalog = &catalog;
-  ctx.rng = &rng_;
   ctx.options = &options_.exec;
   std::atomic<uint64_t> conf_fallbacks{0};
   ctx.conf_fallbacks = &conf_fallbacks;

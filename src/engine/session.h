@@ -10,8 +10,8 @@
 //     compilation cache) and the locks that serialize access to it, plus
 //     one shared worker pool for intra-query parallelism.
 //   Session — everything that is PER CONNECTION in the original
-//     PostgreSQL-based system: execution knobs (SET ...), the RNG stream
-//     feeding aconf(), and the asserted-evidence ConstraintStore, so each
+//     PostgreSQL-based system: execution knobs (SET ...) and the
+//     asserted-evidence ConstraintStore, so each
 //     session's confidence answers are posteriors under ITS OWN evidence
 //     (Koch & Olteanu VLDB'08 conditioning) while all sessions share one
 //     set of possible worlds.
@@ -53,7 +53,6 @@
 #include <vector>
 
 #include "src/common/result.h"
-#include "src/common/rng.h"
 #include "src/cond/constraint_store.h"
 #include "src/engine/query_result.h"
 #include "src/exec/executor.h"
@@ -67,14 +66,12 @@ namespace maybms {
 class SessionManager;
 class ThreadPool;
 
-/// Per-session settings: the RNG seed feeding aconf() plus the execution
-/// knobs. Two of the ExecOptions fields (dtree_cache_budget,
-/// snapshot_chunk_rows) configure DATABASE-level state shared by every
-/// session; the session keeps them as its view and routes changes through
-/// the serialized write path (see Session).
+/// Per-session settings: the execution knobs. Two of the ExecOptions
+/// fields (dtree_cache_budget, snapshot_chunk_rows) configure
+/// DATABASE-level state shared by every session; the session keeps them as
+/// its view and routes changes through the serialized write path (see
+/// Session).
 struct SessionOptions {
-  /// RNG seed for aconf() Monte Carlo estimation (runs are reproducible).
-  uint64_t seed = 42;
   ExecOptions exec;
 };
 
@@ -103,8 +100,6 @@ class Session {
   /// EXPLAIN: the bound logical plan for a query.
   Result<std::string> Explain(std::string_view sql);
 
-  /// Reseeds the session RNG (aconf reproducibility).
-  void Reseed(uint64_t seed);
 
   /// The session's knobs. Mutating through this reference is supported
   /// for embedders, but values are VALIDATED at the point of use: the
@@ -159,7 +154,6 @@ class Session {
   SessionManager* manager_;  // non-owning; outlives every session
   uint64_t id_;
   SessionOptions options_;
-  Rng rng_;
   ConstraintStore constraints_;
   uint64_t statements_run_ = 0;
   uint64_t statements_failed_ = 0;

@@ -121,9 +121,12 @@ struct ExecOptions {
 
 /// Everything operators need: the catalog (DML / create-table-as), the
 /// world table (repair-key/pick-tuples create variables; confidence reads
-/// probabilities), and the session RNG (aconf).
+/// probabilities), and the execution knobs.
 struct ExecContext {
   Catalog* catalog = nullptr;
+  /// Read by no operator: aconf seeds its sampler from lineage content.
+  /// Kept only because perfbench/trace.cc, which replicates the session's
+  /// statement wiring, still assigns it.
   Rng* rng = nullptr;
   const ExecOptions* options = nullptr;
   /// Non-null iff the effective num_threads > 1; owned by the Database (or

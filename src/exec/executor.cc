@@ -176,7 +176,7 @@ Result<StatementResult> ExecuteAssert(const BoundStatement& stmt, ExecContext* c
   }
   // An empty evidence DNF (the query has no possible answers) is rejected
   // by Conjoin with a clean InvalidArgument, store untouched.
-  MAYBMS_RETURN_NOT_OK(store.Conjoin(evidence, ctx->worlds(), exact, ctx->pool));
+  MAYBMS_RETURN_NOT_OK(store.Conjoin(evidence, ctx->worlds(), exact));
   double joint = store.probability();
   size_t clauses = store.NumClauses();
   if (!ctx->allow_prune) {
@@ -193,7 +193,7 @@ Result<StatementResult> ExecuteAssert(const BoundStatement& stmt, ExecContext* c
   // fully-determined variables substitute away and renormalize.
   MAYBMS_ASSIGN_OR_RETURN(
       PruneStats pruned,
-      PruneConditionedWorlds(ctx->catalog, &store, exact, ctx->pool));
+      PruneConditionedWorlds(ctx->catalog, &store, exact));
   if (ctx->metrics != nullptr) {
     ctx->metrics->Add(Counter::kConstraintPrunes);
     ctx->metrics->Add(Counter::kConstraintPrunedRows, pruned.rows_dropped);

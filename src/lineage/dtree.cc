@@ -18,8 +18,8 @@ constexpr uint32_t kTrueNode = 0;
 constexpr uint32_t kZeroNode = 1;
 constexpr uint32_t kNoNode = 0xffffffffu;
 
-// Absorption is quadratic; cap matches the legacy solver exactly so both
-// representations keep/drop the same clauses on the same inputs.
+// Absorption is quadratic; sets above this size skip it (the component
+// cache path in src/conf/exact.cc uses the same cap).
 constexpr size_t kSubsumptionLimit = 512;
 
 uint64_t HashSpan(const ClauseId* ids, size_t n) {
@@ -93,16 +93,25 @@ double DTree::Evaluate() const {
         v[i] = total;
         break;
       }
+      case Kind::kProduct: {
+        double prod = 1.0;
+        for (uint32_t e = n.edge_begin; e < n.edge_end; ++e) {
+          prod *= v[edges_[e].child];
+        }
+        v[i] = prod;
+        break;
+      }
     }
   }
   return v[root_];
 }
 
 std::string DTree::Summary() const {
-  size_t indep = 0, shannon = 0, oneof = 0, leaves = 0;
+  size_t indep = 0, product = 0, shannon = 0, oneof = 0, leaves = 0;
   for (const Node& n : nodes_) {
     switch (n.kind) {
       case Kind::kIndep: ++indep; break;
+      case Kind::kProduct: ++product; break;
       case Kind::kShannon:
         ++shannon;
         if (n.exclusive) ++oneof;
@@ -112,9 +121,9 @@ std::string DTree::Summary() const {
     }
   }
   return StringFormat(
-      "dtree(nodes=%zu, edges=%zu, indep=%zu, shannon=%zu, 1-of=%zu, "
-      "leaves=%zu)",
-      nodes_.size(), edges_.size(), indep, shannon, oneof, leaves);
+      "dtree(nodes=%zu, edges=%zu, indep=%zu, product=%zu, shannon=%zu, "
+      "1-of=%zu, leaves=%zu)",
+      nodes_.size(), edges_.size(), indep, product, shannon, oneof, leaves);
 }
 
 // ---------------------------------------------------------------------------
@@ -179,7 +188,7 @@ struct DTreeCompiler::Impl {
   // Per-clause leaf node cache (a leaf's probability never changes).
   std::vector<uint32_t> leaf_node;
 
-  // Reusable epoch-stamped scratch (mirrors the legacy solver).
+  // Reusable epoch-stamped scratch.
   std::vector<uint32_t> var_occ;
   std::vector<uint64_t> var_epoch;
   std::vector<uint32_t> var_pos;
@@ -203,6 +212,22 @@ struct DTreeCompiler::Impl {
   std::vector<AsgId> mentioned;
   uint64_t epoch = 0;
   uint64_t asg_pass = 0;
+  // ⊙ probe scratch, allocated on first use. Exact masks: per-variable
+  // co-occurrence masks. Otherwise: epoch-stamped side membership /
+  // co-occurrence marks and a CSR of clause positions per variable.
+  std::vector<uint64_t> cooc_lo;
+  std::vector<uint64_t> cooc_hi;
+  std::vector<uint64_t> var_side;
+  std::vector<uint64_t> var_co;
+  std::vector<uint32_t> occ_list;
+  std::vector<LocalVar> side_queue;
+  std::vector<LocalVar> outside;
+  uint64_t side_lo = 0, side_hi = 0;  // exact masks: side-1 variables
+  uint64_t side_pass = 0;
+  uint64_t co_pass = 0;
+  std::vector<Atom> scratch_atoms2;
+  std::vector<ClauseId> proj1;
+  std::vector<ClauseId> proj2;
 
   uint64_t steps = 0;
   // Component-parallel mode: the cross-shard node total the max_steps
@@ -321,7 +346,7 @@ struct DTreeCompiler::Impl {
 
   // Full absorption pass over the (sorted, duplicate-free) span — only the
   // root needs it; every derived set gets the incremental variant or a
-  // provable skip. Identical kept set to the legacy RemoveSubsumed: the
+  // provable skip. The kept set is every clause with no strict subset: the
   // variable-mask test only skips pairs that cannot be in subset relation.
   void FullReduce(uint32_t off, uint32_t* len) {
     if (*len > kSubsumptionLimit) return;
@@ -362,7 +387,7 @@ struct DTreeCompiler::Impl {
   // reduced one would already have been contained in its parent clause,
   // and two reduced clauses in subset relation would imply their parents
   // were too. So the pass is O(new · old) with word-wide mask prefilters
-  // instead of the legacy quadratic rescan — with an identical kept set.
+  // instead of a quadratic rescan — with an identical kept set.
   void AssignVarReduce(uint32_t off, uint32_t len, LocalVar var, AsgId asg,
                        bool* valid, uint32_t* child_off, uint32_t* child_len) {
     // Untouched clauses stay in span order (already sorted); only the few
@@ -513,7 +538,7 @@ struct DTreeCompiler::Impl {
       comp_idx[i] = target;
     }
     // Compress to final components in first-occurrence position order (the
-    // same order the union-find variant and the legacy solver produce).
+    // same order the union-find variant produces).
     size_t ncomp = clu_live.size();
     if (ncomp <= 1) return 0;
     clu_order.assign(clu_parent.size(), kNoNode);
@@ -599,7 +624,307 @@ struct DTreeCompiler::Impl {
     return comp_desc.size() - dmark;
   }
 
-  // -- elimination heuristic (identical to the legacy solver) ---------------
+  // -- independent-AND (⊙) factorisation -----------------------------------
+
+  // Probes whether a connected span is the cross product S1 × S2 of two
+  // clause sets over disjoint variables, so that P(S) = P(S1) · P(S2).
+  //
+  // Across such a split every side-1 variable shares a clause with every
+  // side-2 variable, so two variables that never share a clause sit on
+  // the same side: side 1 is the closure of "never share a clause" from
+  // the lowest local variable. Every clause must then have atoms on both
+  // sides. Interning each clause's two projections gives S1 and S2, and
+  // |S1| · |S2| == |S| proves S = S1 × S2 (a clause is the union of its
+  // projections, so clause → projection pair is injective into S1 × S2).
+  // An absorption-free S has absorption-free projections.
+  //
+  // O(|S| · width) word operations; exits at the first width-1 clause.
+  // On success appends S1 then S2 (each sorted, duplicate-free) to the
+  // arena and returns true; on failure the arena is untouched.
+  bool ProductSplit(uint32_t off, uint32_t len, uint32_t* len1,
+                    uint32_t* len2) {
+    if (!(masks_exact ? SideByMasks(off, len) : SideByEpochs(off, len))) {
+      return false;
+    }
+    // Every clause must straddle the split (checked before interning
+    // anything, so a failed probe leaves the clause store alone).
+    for (uint32_t i = 0; i < len; ++i) {
+      ClauseId id = arena[off + i];
+      bool in1 = false, in2 = false;
+      if (masks_exact) {
+        uint64_t lo = dnf.ClauseVarMask(id), hi = dnf.ClauseVarMaskHi(id);
+        in1 = ((lo & side_lo) | (hi & side_hi)) != 0;
+        in2 = ((lo & ~side_lo) | (hi & ~side_hi)) != 0;
+      } else {
+        for (const Atom& a : dnf.Clause(id)) {
+          (OnSide1(a.var) ? in1 : in2) = true;
+        }
+      }
+      if (!in1 || !in2) return false;
+    }
+    proj1.clear();
+    proj2.clear();
+    for (uint32_t i = 0; i < len; ++i) {
+      scratch_atoms.clear();
+      scratch_atoms2.clear();
+      for (const Atom& a : dnf.Clause(arena[off + i])) {
+        (OnSide1(a.var) ? scratch_atoms : scratch_atoms2).push_back(a);
+      }
+      proj1.push_back(dnf.Intern(scratch_atoms.data(), scratch_atoms.size()));
+      proj2.push_back(dnf.Intern(scratch_atoms2.data(), scratch_atoms2.size()));
+    }
+    for (std::vector<ClauseId>* proj : {&proj1, &proj2}) {
+      std::sort(proj->begin(), proj->end());
+      proj->erase(std::unique(proj->begin(), proj->end()), proj->end());
+    }
+    if (static_cast<uint64_t>(proj1.size()) * proj2.size() != len) return false;
+    arena.insert(arena.end(), proj1.begin(), proj1.end());
+    arena.insert(arena.end(), proj2.begin(), proj2.end());
+    *len1 = static_cast<uint32_t>(proj1.size());
+    *len2 = static_cast<uint32_t>(proj2.size());
+    return true;
+  }
+
+  bool OnSide1(LocalVar v) const {
+    if (masks_exact) {
+      return ((v < 64 ? side_lo >> v : side_hi >> (v - 64)) & 1) != 0;
+    }
+    return var_side[v] == side_pass;
+  }
+
+  // Both side finders open with one pass that exits at a width-1 clause
+  // and finds the lowest variable v0 with N(v0), the variables sharing a
+  // clause with it. (A clause holds v0 iff its own lowest variable is v0;
+  // the first clause holding v0 is the first with a variable that low, so
+  // restarting N at each new minimum loses nothing.) Side 2 lies inside
+  // N(v0) \ {v0}, so a clause missing that set rejects the span — in a
+  // typical non-product span within a few clauses.
+  //
+  // The closure then processes side-1 variables one at a time. The first
+  // kLazySteps variables find their co-occurring variables by scanning
+  // the span; only a closure that runs longer builds per-variable tables.
+  static constexpr int kLazySteps = 2;
+
+  // Side 1 over exact masks (side_lo/side_hi). False when there is no
+  // split.
+  bool SideByMasks(uint32_t off, uint32_t len) {
+    auto lowest = [](uint64_t lo, uint64_t hi) {
+      return lo != 0 ? static_cast<LocalVar>(__builtin_ctzll(lo))
+                     : 64 + static_cast<LocalVar>(__builtin_ctzll(hi));
+    };
+    uint64_t all_lo = 0, all_hi = 0, n_lo = 0, n_hi = 0;
+    LocalVar v0 = std::numeric_limits<LocalVar>::max();
+    for (uint32_t i = 0; i < len; ++i) {
+      ClauseId id = arena[off + i];
+      if (dnf.ClauseSize(id) == 1) return false;
+      uint64_t lo = dnf.ClauseVarMask(id), hi = dnf.ClauseVarMaskHi(id);
+      all_lo |= lo;
+      all_hi |= hi;
+      LocalVar lv = lowest(lo, hi);
+      if (lv < v0) {
+        v0 = lv;
+        n_lo = n_hi = 0;
+      }
+      if (lv == v0) {
+        n_lo |= lo;
+        n_hi |= hi;
+      }
+    }
+    const uint64_t v0_lo = v0 < 64 ? uint64_t{1} << v0 : 0;
+    const uint64_t v0_hi = v0 < 64 ? 0 : uint64_t{1} << (v0 - 64);
+    for (uint32_t i = 0; i < len; ++i) {
+      ClauseId id = arena[off + i];
+      if (((dnf.ClauseVarMask(id) & n_lo & ~v0_lo) |
+           (dnf.ClauseVarMaskHi(id) & n_hi & ~v0_hi)) == 0) {
+        return false;
+      }
+    }
+    side_lo = v0_lo | (all_lo & ~n_lo);
+    side_hi = v0_hi | (all_hi & ~n_hi);
+    uint64_t done_lo = v0_lo, done_hi = v0_hi;
+    for (int step = 1;; ++step) {
+      uint64_t todo_lo = side_lo & ~done_lo, todo_hi = side_hi & ~done_hi;
+      if ((todo_lo | todo_hi) == 0) return true;
+      LocalVar v = lowest(todo_lo, todo_hi);
+      (v < 64 ? done_lo : done_hi) |= uint64_t{1} << (v % 64);
+      uint64_t c_lo = 0, c_hi = 0;  // variables sharing a clause with v
+      if (step < kLazySteps) {
+        for (uint32_t i = 0; i < len; ++i) {
+          uint64_t lo = dnf.ClauseVarMask(arena[off + i]);
+          uint64_t hi = dnf.ClauseVarMaskHi(arena[off + i]);
+          if (((v < 64 ? lo >> v : hi >> (v - 64)) & 1) != 0) {
+            c_lo |= lo;
+            c_hi |= hi;
+          }
+        }
+      } else {
+        if (step == kLazySteps) BuildCoocMasks(off, len, all_lo, all_hi);
+        c_lo = cooc_lo[v];
+        c_hi = cooc_hi[v];
+      }
+      side_lo |= all_lo & ~c_lo;
+      side_hi |= all_hi & ~c_hi;
+      if (side_lo == all_lo && side_hi == all_hi) return false;
+    }
+  }
+
+  // Per-variable co-occurrence masks of the span's variables.
+  void BuildCoocMasks(uint32_t off, uint32_t len, uint64_t all_lo,
+                      uint64_t all_hi) {
+    if (cooc_lo.empty()) {
+      cooc_lo.assign(dnf.NumVars(), 0);
+      cooc_hi.assign(dnf.NumVars(), 0);
+    }
+    for (uint64_t m = all_lo; m != 0; m &= m - 1) {
+      cooc_lo[__builtin_ctzll(m)] = cooc_hi[__builtin_ctzll(m)] = 0;
+    }
+    for (uint64_t m = all_hi; m != 0; m &= m - 1) {
+      cooc_lo[64 + __builtin_ctzll(m)] = cooc_hi[64 + __builtin_ctzll(m)] = 0;
+    }
+    for (uint32_t i = 0; i < len; ++i) {
+      ClauseId id = arena[off + i];
+      uint64_t lo = dnf.ClauseVarMask(id), hi = dnf.ClauseVarMaskHi(id);
+      for (const Atom& a : dnf.Clause(id)) {
+        cooc_lo[a.var] |= lo;
+        cooc_hi[a.var] |= hi;
+      }
+    }
+  }
+
+  // Side 1 beyond 128 variables, stamped into var_side with side_pass.
+  // Same closure as SideByMasks; co-occurrence is stamped into var_co with
+  // co_pass, and the per-variable tables are a CSR of clause positions.
+  // False when there is no split.
+  bool SideByEpochs(uint32_t off, uint32_t len) {
+    if (var_side.empty()) {
+      var_side.assign(dnf.NumVars(), 0);
+      var_co.assign(dnf.NumVars(), 0);
+    }
+    auto mark = [&](uint32_t pos) {
+      for (const Atom& a : dnf.Clause(arena[off + pos])) {
+        var_co[a.var] = co_pass;
+      }
+    };
+    LocalVar v0 = std::numeric_limits<LocalVar>::max();
+    for (uint32_t i = 0; i < len; ++i) {
+      AtomSpan span = dnf.Clause(arena[off + i]);
+      if (span.size == 1) return false;
+      LocalVar lv = span[0].var;  // atoms are sorted by variable
+      if (lv < v0) {
+        v0 = lv;
+        ++co_pass;
+      }
+      if (lv == v0) mark(i);
+    }
+    for (uint32_t i = 0; i < len; ++i) {
+      bool hit = false;
+      for (const Atom& a : dnf.Clause(arena[off + i])) {
+        if (a.var != v0 && var_co[a.var] == co_pass) {
+          hit = true;
+          break;
+        }
+      }
+      if (!hit) return false;
+    }
+    // Side 1 starts as v0 plus every variable outside N(v0).
+    ++epoch;
+    ++side_pass;
+    touched.clear();
+    side_queue.assign(1, v0);
+    outside.clear();
+    var_side[v0] = side_pass;
+    for (uint32_t i = 0; i < len; ++i) {
+      for (const Atom& a : dnf.Clause(arena[off + i])) {
+        if (var_epoch[a.var] != epoch) {
+          var_epoch[a.var] = epoch;
+          var_occ[a.var] = 0;
+          touched.push_back(a.var);
+          if (a.var == v0) {
+            // already on side 1
+          } else if (var_co[a.var] == co_pass) {
+            outside.push_back(a.var);
+          } else {
+            var_side[a.var] = side_pass;
+            side_queue.push_back(a.var);
+          }
+        }
+        ++var_occ[a.var];
+      }
+    }
+    if (outside.empty()) return false;
+    for (size_t step = 1; step < side_queue.size(); ++step) {
+      LocalVar v = side_queue[step];
+      ++co_pass;
+      if (step < kLazySteps) {
+        for (uint32_t i = 0; i < len; ++i) {
+          if (FindVar(dnf.Clause(arena[off + i]), v) != nullptr) mark(i);
+        }
+      } else {
+        if (step == kLazySteps) BuildOccurrenceLists(off, len);
+        for (uint32_t k = var_pos[v]; k < var_occ[v]; ++k) mark(occ_list[k]);
+      }
+      for (size_t k = 0; k < outside.size();) {
+        LocalVar u = outside[k];
+        if (var_co[u] == co_pass) {
+          ++k;
+          continue;
+        }
+        var_side[u] = side_pass;
+        side_queue.push_back(u);
+        outside[k] = outside.back();
+        outside.pop_back();
+      }
+      if (outside.empty()) return false;
+    }
+    return true;
+  }
+
+  // CSR of clause positions per touched variable: occ_list[var_pos[v] ..
+  // var_occ[v]). Expects var_occ to hold occurrence counts.
+  void BuildOccurrenceLists(uint32_t off, uint32_t len) {
+    uint32_t total = 0;
+    for (LocalVar v : touched) {
+      var_pos[v] = total;
+      total += var_occ[v];
+      var_occ[v] = var_pos[v];  // fill cursor; ends as the list end
+    }
+    occ_list.resize(total);
+    for (uint32_t i = 0; i < len; ++i) {
+      for (const Atom& a : dnf.Clause(arena[off + i])) {
+        occ_list[var_occ[a.var]++] = i;
+      }
+    }
+  }
+
+  // ⊙ node over the factor spans ProductSplit appended at `off1`: S1 (the
+  // side of the lowest variable) then S2, multiplied in that order.
+  Result<uint32_t> CompileProduct(uint32_t off1, uint32_t len1, uint32_t len2,
+                                  uint64_t depth) {
+    if (stats) ++stats->products;
+    size_t mark = EdgeMark();
+    double prod = 1.0;
+    for (auto [foff, flen] : {std::pair<uint32_t, uint32_t>{off1, len1},
+                              std::pair<uint32_t, uint32_t>{off1 + len1, len2}}) {
+      MAYBMS_ASSIGN_OR_RETURN(uint32_t child, CompileSpan(foff, flen, depth + 1));
+      prod *= NodeValue(child);
+      AddEdge(1.0, child);
+    }
+    return AddNode(DTree::Kind::kProduct, 0, false, mark, prod);
+  }
+
+  // Connected span: ⊙ when it factorises, Shannon otherwise.
+  Result<uint32_t> CompileConnected(uint32_t off, uint32_t len, uint64_t depth) {
+    uint32_t off1 = static_cast<uint32_t>(arena.size());
+    uint32_t len1 = 0, len2 = 0;
+    if (!ProductSplit(off, len, &len1, &len2)) {
+      return CompileShannon(off, len, depth);
+    }
+    Result<uint32_t> node = CompileProduct(off1, len1, len2, depth);
+    arena.resize(off1);
+    return node;
+  }
+
+  // -- elimination heuristic ------------------------------------------------
 
   size_t ProbSlot(LocalVar v, AsgId a) const {
     return static_cast<size_t>(dnf.VarProbs(v) - dnf.VarProbs(0)) + a;
@@ -740,7 +1065,7 @@ struct DTreeCompiler::Impl {
       if (ncomp > 1) {
         MAYBMS_ASSIGN_OR_RETURN(node, CompileIndep(dmark, depth));
       } else {
-        MAYBMS_ASSIGN_OR_RETURN(node, CompileShannon(off, len, depth));
+        MAYBMS_ASSIGN_OR_RETURN(node, CompileConnected(off, len, depth));
       }
       comp_desc.resize(dmark);
       arena.resize(arena_mark);
@@ -753,8 +1078,9 @@ struct DTreeCompiler::Impl {
   // alternatives are mutually exclusive world-table assignments, every
   // Shannon branch is decided, the residual contributes exactly 0);
   // all-distinct variables → an independent partition of leaf clauses.
-  // Both produce the same floating-point operations the legacy recursion
-  // performs, without recursing. Mixed repetition falls back (kNoNode).
+  // Both produce the same floating-point operations the general Shannon and
+  // partition paths would, without recursing. Mixed repetition falls back
+  // (kNoNode).
   Result<uint32_t> CompileWidth1(uint32_t off, uint32_t len) {
     LocalVar first = dnf.Clause(arena[off])[0].var;
     bool same_var = true;
@@ -780,8 +1106,8 @@ struct DTreeCompiler::Impl {
       for (AsgId a : mentioned) {
         double pa = dnf.AtomProbLocal(first, a);
         if (pa == 0.0) continue;
-        // Decided branch: identical arithmetic to the legacy
-        // `total += pa * sub` with sub == 1.0.
+        // Decided branch: identical arithmetic to CompileShannon's
+        // `total += pa * 1.0`.
         total += pa * 1.0;
         AddEdge(pa, kTrueNode);
         if (stats) ++stats->steps;
@@ -979,6 +1305,7 @@ struct DTreeCompiler::Impl {
         stats->steps += cs.steps;
         stats->decompositions += cs.decompositions;
         stats->shannon_expansions += cs.shannon_expansions;
+        stats->products += cs.products;
         stats->max_depth = std::max(stats->max_depth, cs.max_depth);
         stats->cache_hits += cs.cache_hits;
         stats->cache_entries += cs.cache_entries;

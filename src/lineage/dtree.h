@@ -1,14 +1,19 @@
 // Knowledge compilation of DNF lineage into decomposition trees (d-trees).
 //
 // The exact confidence algorithm (paper §2.3; Koch & Olteanu, VLDB'08;
-// SPROUT's d-tree evaluation, Olteanu/Huang/Koch ICDE'09) interleaves two
-// rules — DECOMPOSITION into variable-disjoint independent partitions and
-// Shannon VARIABLE ELIMINATION — until the residual formulas are single
-// clauses. Instead of computing probabilities while searching (and
-// re-searching on every call), DTreeCompiler records the rule applications
-// ONCE as a reduced decomposition tree:
+// d-trees of Olteanu, Huang & Koch, ICDE'10) interleaves three rules —
+// DECOMPOSITION into variable-disjoint independent partitions,
+// INDEPENDENT-AND factorisation of a cross product of variable-disjoint
+// clause sets, and Shannon VARIABLE ELIMINATION — until the residual
+// formulas are single clauses. Instead of computing probabilities while
+// searching (and re-searching on every call), DTreeCompiler records the
+// rule applications ONCE as a reduced decomposition tree:
 //
 //   ⊗ (kIndep)    independent-partition node:  P = 1 − Π(1 − P_child)
+//   ⊙ (kProduct)  independent-AND node:        P = Π P_child
+//                 (a connected clause set S equal to S1 × S2 with S1, S2
+//                 over disjoint variables: each clause is one clause of
+//                 S1 conjoined with one of S2)
 //   ⊕ (kShannon)  variable-elimination node:   P = Σ w_i · P_child_i
 //                 (one weighted branch per world-table alternative of the
 //                 eliminated variable, plus the residual "other
@@ -19,27 +24,39 @@
 //   const         decided subformulas (true/false) and parallel-shard
 //                 component summaries
 //
-// Reconverging Shannon branches are HASH-CONSED: a residual clause set
-// already compiled is shared (a DAG edge), not rebuilt — the ws-tree
-// sharing of [Koch & Olteanu '08] as structure instead of a transient
-// memo. Probability evaluation is then one linear bottom-up pass over the
-// node array (children always precede parents).
+// A connected clause set tries ⊙ before Shannon. Reconverging branches
+// are HASH-CONSED: a clause set already compiled (a Shannon residual or a
+// ⊙ factor) is shared (a DAG edge), not rebuilt — the ws-tree sharing of
+// [Koch & Olteanu '08] as structure instead of a transient memo.
+// Probability evaluation is then one linear bottom-up pass over the node
+// array (children always precede parents).
 //
-// BIT-IDENTITY CONTRACT: the compiler makes exactly the same rule choices
-// (same subsumption removals, same partition order, same elimination
-// variable, same branch order) and the evaluation performs exactly the
-// same floating-point operations in the same order as the legacy
-// recursive solver in src/conf/exact.cc — so compiled probabilities are
-// bit-for-bit equal to the recursive ones (pinned by
-// tests/dtree_property_test.cc). The speed comes from how the same
-// decisions are reached: word-wide clause variable masks prefilter
-// subsumption probes, reduction-aware bookkeeping skips absorption passes
-// that provably cannot fire, clause sets live in a stack arena instead of
-// per-node vectors, and the hash-cons table is open-addressed with
-// incremental hashes. Step/budget COUNTS are representation-specific
-// (closed 1-OF nodes expand no recursion, so the d-tree compiler counts
-// fewer nodes than the legacy recursion on the same input); only the
-// probabilities are pinned.
+// BIT-IDENTITY CONTRACT: the compiled value of a clause set is a pure
+// function of its clauses and of the relative order of their ids and
+// variable ids (clause ids follow first input occurrence; local variable
+// ids are a monotone remap of global ids). Every rule choice (absorption,
+// partition order, ⊙ split and factor order, elimination variable, branch
+// order) is decided from that alone, and evaluation performs the same
+// floating-point operations in the same order. So probabilities are
+// bit-identical
+//   - across thread counts (the component-parallel root folds the
+//     per-component values in component order);
+//   - with the cross-statement cache and its component-level reuse on or
+//     off (a component compiled on its own sees the same content under a
+//     monotone variable remap);
+//   - across the optimizer and index knobs (they change plans, not
+//     lineage); and
+//   - between DTree::Evaluate() and the compile-time value.
+// Correctness is pinned by tests/dtree_property_test.cc against
+// brute-force world enumeration and against golden values recorded from
+// the recursive solver the compiler replaced (both to 1e-12; ⊙ rounds
+// differently from Shannon expansion on product shapes, so the goldens
+// are not matched bit for bit). Word-wide clause variable masks prefilter
+// subsumption, independence and ⊙ probes, reduction-aware bookkeeping
+// skips absorption passes that provably cannot fire, clause sets live in
+// a stack arena instead of per-node vectors, and the hash-cons table is
+// open-addressed. Step/budget COUNTS are representation-specific; only
+// the probabilities are pinned.
 #pragma once
 
 #include <cstdint>
@@ -69,35 +86,26 @@ enum class EliminationHeuristic {
   kFirstVariable,
 };
 
-/// Tuning knobs shared by the d-tree compiler and the legacy recursive
-/// solver.
+/// Tuning knobs of the d-tree compiler.
 struct ExactOptions {
   EliminationHeuristic heuristic = EliminationHeuristic::kMaxOccurrence;
   /// Remove subsumed clauses before recursion (absorption).
   bool remove_subsumed = true;
-  /// Share reconverging sub-DNFs (d-tree hash-consing / the legacy solver's
-  /// memo — the ws-tree sharing of [Koch & Olteanu '08]).
+  /// Share reconverging sub-DNFs (d-tree hash-consing — the ws-tree
+  /// sharing of [Koch & Olteanu '08]).
   bool use_cache = true;
-  /// Cap on hash-cons/memo entries (0 disables the cap).
+  /// Cap on hash-cons entries (0 disables the cap).
   size_t max_cache_entries = 1u << 20;
   /// Node budget: abort once this many nodes have been expanded (0 = no
   /// limit). Exact confidence is #P-hard; engine callers prefer falling
   /// back to approximation over unbounded compilation (the conf()
-  /// fallback knob in ExecOptions). The count is representation-specific:
-  /// the d-tree compiler's closed fast paths visit fewer nodes than the
-  /// legacy recursion for the same formula.
+  /// fallback knob in ExecOptions).
   uint64_t max_steps = 0;
-  /// Solve with the legacy recursive solver instead of d-tree
-  /// compilation. Kept for parity tests and ablation benchmarks; both
-  /// paths return bit-identical probabilities.
-  bool use_legacy_solver = false;
   /// Cross-statement compilation cache (src/lineage/dtree_cache.h), or
   /// null to compile fresh every call. Non-owning: the Database wires the
   /// catalog's cache in per statement when ExecOptions::dtree_cache is on.
-  /// Consulted only by the d-tree path (the legacy solver is the
-  /// bit-identity reference and always recomputes) and only when no
-  /// ExactStats sink is attached (cached answers have no step counts, and
-  /// ablation measurements must stay honest).
+  /// Consulted only when no ExactStats sink is attached (cached answers
+  /// have no step counts, and ablation measurements must stay honest).
   DTreeCache* cache = nullptr;
   /// Component-level reuse (SET dtree_component_cache): on a
   /// whole-statement cache miss, partition the root set into connected
@@ -121,6 +129,7 @@ struct ExactStats {
   uint64_t steps = 0;             ///< nodes expanded
   uint64_t decompositions = 0;    ///< independent-partition applications
   uint64_t shannon_expansions = 0;///< variable eliminations
+  uint64_t products = 0;          ///< independent-AND (⊙) factorisations
   uint64_t max_depth = 0;
   uint64_t cache_hits = 0;        ///< hash-cons / memo hits
   uint64_t cache_entries = 0;
@@ -136,6 +145,7 @@ class DTree {
     kClause,   ///< single conjunctive clause; value = Π atom probs
     kIndep,    ///< ⊗: value = 1 − Π(1 − child)
     kShannon,  ///< ⊕: value = Σ weight · child
+    kProduct,  ///< ⊙: value = Π child (variable-disjoint factors)
   };
 
   struct Node {
@@ -152,7 +162,7 @@ class DTree {
     double value = 0;
   };
   struct Edge {
-    double weight;   ///< kShannon: branch probability mass; kIndep: unused
+    double weight;   ///< kShannon: branch probability mass; else unused
     uint32_t child;  ///< index of a PRECEDING node
   };
 

@@ -32,10 +32,9 @@ uint64_t HashWords(const std::vector<uint64_t>& words) {
 /// it is allowed to finish: a different fingerprint is a different key, so
 /// a value compiled under one budget/heuristic can never answer for
 /// another (the "tightened budget" leak of ISSUE 5's satellite list).
-/// use_legacy_solver is deliberately absent — the legacy path bypasses the
-/// cache entirely (see ExactConfidence). component_cache is also absent:
-/// it selects HOW a value is computed, and the component path is provably
-/// bit-identical to the whole compile, so values are mode-independent.
+/// component_cache is deliberately absent: it selects HOW a value is
+/// computed, and the component path is provably bit-identical to the whole
+/// compile, so values are mode-independent.
 uint64_t OptionsFingerprint(const ExactOptions& options) {
   uint64_t h = static_cast<uint64_t>(options.heuristic);
   h |= static_cast<uint64_t>(options.remove_subsumed) << 8;

@@ -63,9 +63,7 @@
 //     toggles, cache caps, and the max_steps node budget. A tree compiled
 //     under a large budget must not leak past a later-tightened budget
 //     (the lookup misses and the fresh compile re-raises OutOfRange);
-//     conversely a budget-failed compile is never inserted. The legacy
-//     recursive solver bypasses the cache entirely (it is the reference
-//     the bit-identity contract is defined against).
+//     conversely a budget-failed compile is never inserted.
 //   - SAMPLING KNOBS (kind 2): ε, δ, the base seed, max_samples,
 //     sample_batch_size, and use_reference_kernel — everything the seeded
 //     estimate is a function of. batches_per_wave is deliberately absent:

@@ -261,10 +261,6 @@ void Server::Serve(int fd) {
       } else {
         reply += "ERR " + Escape(plan.status().ToString()) + "\n";
       }
-    } else if (req.rfind("\\seed ", 0) == 0) {
-      session->Reseed(std::strtoull(std::string(req.substr(6)).c_str(),
-                                    nullptr, 10));
-      reply += "OK RNG reseeded\n";
     } else if (req == "\\stats" || req.rfind("\\stats ", 0) == 0) {
       // Shared registry snapshot (optionally LIKE-filtered), then this
       // session's own statement counts.
@@ -315,7 +311,7 @@ void Server::Serve(int fd) {
       }
     } else if (!req.empty() && req[0] == '\\') {
       reply += "ERR unknown meta-command; try \\d [table], \\explain <q>, "
-               "\\stats [pattern], \\trace <file>, \\seed <n>, \\q\n";
+               "\\stats [pattern], \\trace <file>, \\q\n";
     } else if (req.empty()) {
       reply += "OK \n";
     } else {

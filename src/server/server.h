@@ -12,7 +12,6 @@
 //               Either a SQL statement (EXPLAIN [ANALYZE] and SHOW STATS
 //               included — they are ordinary statements), or a
 //               meta-command:
-//                 \seed <n>       reseed this session's aconf RNG
 //                 \d              database summary (server-rendered)
 //                 \d <table>      describe one table
 //                 \explain <sql>  bound logical plan (without executing;

@@ -150,7 +150,7 @@ class Parser {
   }
 
   /// `SET <knob> = <value>`: value is a number or a bare word
-  /// (on/off/true/false/dtree/legacy/row/batch/...).
+  /// (on/off/true/false/row/batch/...).
   Result<StatementPtr> ParseSet() {
     MAYBMS_RETURN_NOT_OK(ExpectWord("set"));
     auto stmt = std::make_unique<SetStmt>();

@@ -719,7 +719,7 @@ Status LoadDatabaseBinary(const std::string& path, Catalog* catalog,
       clauses.push_back(std::move(clause));
     }
     MAYBMS_RETURN_NOT_OK(evidence->Load(
-        std::move(clauses), catalog->world_table(), ExactOptions{}, nullptr));
+        std::move(clauses), catalog->world_table(), ExactOptions{}));
   }
 
   // Index definitions re-register lazily: the first lookup (or INSERT)
@@ -829,7 +829,7 @@ Status RestoreDatabase(const std::string& dump, Catalog* catalog,
       // Recompute P(C) against the restored world table; a probability-0
       // constraint means the dump is corrupt.
       MAYBMS_RETURN_NOT_OK(evidence->Load(
-          std::move(clauses), catalog->world_table(), ExactOptions{}, nullptr));
+          std::move(clauses), catalog->world_table(), ExactOptions{}));
       continue;
     }
     std::vector<std::string> header = Split(line, '\t');

@@ -53,7 +53,7 @@ TEST_F(ConstraintStoreTest, ConjoinKeepsDisjunctiveClauses) {
   Dnf ev;
   ev.AddClause(C({{v0_, 0}, {v1_, 0}}));
   ev.AddClause(C({{v0_, 1}, {v1_, 1}}));
-  ASSERT_TRUE(cs.Conjoin(ev, wt_, exact_, nullptr).ok());
+  ASSERT_TRUE(cs.Conjoin(ev, wt_, exact_).ok());
   EXPECT_TRUE(cs.active());
   EXPECT_EQ(cs.NumClauses(), 2u);
   // P(C) = 0.5·0.3 + 0.5·0.7.
@@ -75,13 +75,13 @@ TEST_F(ConstraintStoreTest, ConjoinFlattensConjunction) {
   Dnf first;
   first.AddClause(C({{v0_, 0}}));
   first.AddClause(C({{v1_, 0}}));
-  ASSERT_TRUE(cs.Conjoin(first, wt_, exact_, nullptr).ok());
+  ASSERT_TRUE(cs.Conjoin(first, wt_, exact_).ok());
   // P(v0=0 ∨ v1=0) = 1 − 0.5·0.7 = 0.65.
   EXPECT_NEAR(cs.probability(), 0.65, kTol);
 
   Dnf second;
   second.AddClause(C({{v0_, 0}}));
-  ASSERT_TRUE(cs.Conjoin(second, wt_, exact_, nullptr).ok());
+  ASSERT_TRUE(cs.Conjoin(second, wt_, exact_).ok());
   // (v0=0 ∨ v1=0) ∧ v0=0 simplifies (absorption) to v0=0.
   EXPECT_EQ(cs.NumClauses(), 1u);
   EXPECT_NEAR(cs.probability(), 0.5, kTol);
@@ -96,12 +96,12 @@ TEST_F(ConstraintStoreTest, InconsistentConjoinLeavesStoreUnchanged) {
   ConstraintStore cs;
   Dnf first;
   first.AddClause(C({{v0_, 0}}));
-  ASSERT_TRUE(cs.Conjoin(first, wt_, exact_, nullptr).ok());
+  ASSERT_TRUE(cs.Conjoin(first, wt_, exact_).ok());
   double p_before = cs.probability();
 
   Dnf contradiction;
   contradiction.AddClause(C({{v0_, 1}}));
-  Status st = cs.Conjoin(contradiction, wt_, exact_, nullptr);
+  Status st = cs.Conjoin(contradiction, wt_, exact_);
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(st.message().find("inconsistent evidence"), std::string::npos);
   // Untouched.
@@ -113,11 +113,11 @@ TEST_F(ConstraintStoreTest, InconsistentConjoinLeavesStoreUnchanged) {
 TEST_F(ConstraintStoreTest, EmptyAndCertainEvidence) {
   ConstraintStore cs;
   Dnf empty;
-  EXPECT_EQ(cs.Conjoin(empty, wt_, exact_, nullptr).code(),
+  EXPECT_EQ(cs.Conjoin(empty, wt_, exact_).code(),
             StatusCode::kInvalidArgument);
   Dnf certain;
   certain.AddClause(Condition());  // empty clause: evidence is true
-  ASSERT_TRUE(cs.Conjoin(certain, wt_, exact_, nullptr).ok());
+  ASSERT_TRUE(cs.Conjoin(certain, wt_, exact_).ok());
   EXPECT_FALSE(cs.active());  // C ∧ true = C
 }
 
@@ -126,7 +126,7 @@ TEST_F(ConstraintStoreTest, CompatiblePositiveUnderEvidence) {
   Dnf ev;
   ev.AddClause(C({{v0_, 0}, {v1_, 0}}));
   ev.AddClause(C({{v0_, 1}, {v1_, 1}}));
-  ASSERT_TRUE(cs.Conjoin(ev, wt_, exact_, nullptr).ok());
+  ASSERT_TRUE(cs.Conjoin(ev, wt_, exact_).ok());
   // v0=0 is compatible (via the first clause) …
   EXPECT_TRUE(cs.CompatiblePositive(C({{v0_, 0}}), wt_));
   // … v0=0 ∧ v1=1 conflicts with both clauses.
@@ -140,11 +140,11 @@ TEST_F(ConstraintStoreTest, SubstituteDividesOutDeterminedVars) {
   Dnf ev;
   ev.AddClause(C({{v0_, 0}, {v1_, 0}}));
   ev.AddClause(C({{v0_, 0}, {v1_, 1}}));
-  ASSERT_TRUE(cs.Conjoin(ev, wt_, exact_, nullptr).ok());
+  ASSERT_TRUE(cs.Conjoin(ev, wt_, exact_).ok());
   std::vector<Atom> det = cs.DeterminedAtoms();
   ASSERT_EQ(det.size(), 1u);  // v0 → 0 in both clauses
   ASSERT_TRUE(wt_.CollapseVariable(v0_, 0).ok());
-  ASSERT_TRUE(cs.Substitute(det, wt_, exact_, nullptr).ok());
+  ASSERT_TRUE(cs.Substitute(det, wt_, exact_).ok());
   // Residual: v1=0 ∨ v1=1 — a clause never shrinks to empty here, but the
   // two residual clauses cover the full domain of v1, so P(C') = 1.
   EXPECT_TRUE(cs.active());
@@ -157,7 +157,7 @@ TEST_F(ConstraintStoreTest, PosteriorExactMatchesHandComputation) {
   Dnf ev;  // C: v0 and v1 agree
   ev.AddClause(C({{v0_, 0}, {v1_, 0}}));
   ev.AddClause(C({{v0_, 1}, {v1_, 1}}));
-  ASSERT_TRUE(cs.Conjoin(ev, wt_, exact_, nullptr).ok());
+  ASSERT_TRUE(cs.Conjoin(ev, wt_, exact_).ok());
 
   Dnf q;  // Q: v0 = 0
   q.AddClause(C({{v0_, 0}}));

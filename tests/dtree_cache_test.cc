@@ -10,8 +10,8 @@
 //     CLEAR EVIDENCE / node-budget changes, on row and batch engines at
 //     threads {1, 4};
 //   - a tightened dtree_node_budget is never answered by a value compiled
-//     under a looser budget, and the legacy reference solver never touches
-//     the cache;
+//     under a looser budget, and `dtree_cache = off` never touches the
+//     cache;
 //   - conf_fallback estimates are identical with the cache on and off
 //     (the lineage-content seed is derived from the same canonical
 //     compiled form either way).
@@ -405,22 +405,16 @@ TEST(DTreeCacheEngineTest, TightenedBudgetIsNeverAnsweredFromCache) {
   EXPECT_EQ(r.status().code(), StatusCode::kOutOfRange);
 }
 
-TEST(DTreeCacheEngineTest, LegacySolverAndDisabledCacheBypass) {
+TEST(DTreeCacheEngineTest, DisabledCacheBypass) {
   Rng rng(22);
   Database db;
   ApplyScript(&db, BuildScript(&rng, 3));
   db.catalog().dtree_cache().ResetCounters();
 
-  ASSERT_TRUE(db.Execute("set exact_solver = legacy").ok());
+  ASSERT_TRUE(db.Execute("set dtree_cache = off").ok());
   ASSERT_TRUE(db.Query(kConfQuery).ok());
   ASSERT_TRUE(db.Query(kConfQuery).ok());
   DTreeCache::Stats s = db.catalog().dtree_cache().stats();
-  EXPECT_EQ(s.hits + s.misses + s.insertions, 0u);  // reference path: untouched
-
-  ASSERT_TRUE(db.Execute("set exact_solver = dtree").ok());
-  ASSERT_TRUE(db.Execute("set dtree_cache = off").ok());
-  ASSERT_TRUE(db.Query(kConfQuery).ok());
-  s = db.catalog().dtree_cache().stats();
   EXPECT_EQ(s.hits + s.misses + s.insertions, 0u);  // knob off: untouched
 
   ASSERT_TRUE(db.Execute("set dtree_cache = on").ok());

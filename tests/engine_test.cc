@@ -52,25 +52,6 @@ TEST(DatabaseTest, ExplainShowsProbabilisticOperators) {
   EXPECT_NE(plan->find("[uncertain]"), std::string::npos);
 }
 
-TEST(DatabaseTest, ReseedChangesMonteCarloStream) {
-  Database db;
-  ASSERT_TRUE(db.Execute("create table t (x int)").ok());
-  for (int i = 0; i < 6; ++i) {
-    ASSERT_TRUE(db.Execute("insert into t values (1)").ok());
-  }
-  ASSERT_TRUE(db.Execute("create table u as select * from (pick tuples from t) r").ok());
-  auto run = [&db]() {
-    auto r = db.Query("select x, aconf(0.2, 0.2) as p from u group by x");
-    EXPECT_TRUE(r.ok());
-    return r->At(0, 1).AsDouble();
-  };
-  db.Reseed(1);
-  double a = run();
-  db.Reseed(1);
-  double b = run();
-  EXPECT_DOUBLE_EQ(a, b);  // same seed, same estimate
-}
-
 TEST(DatabaseTest, OptionsControlExactSolver) {
   DatabaseOptions options;
   options.exec.exact.max_steps = 1;  // absurdly tight budget
@@ -116,18 +97,18 @@ TEST(DatabaseTest, SetStatementAdjustsSessionKnobs) {
   EXPECT_NE(fallback->message().find("warning: conf() exceeded"),
             std::string::npos);
 
-  // Restore the budget: exact answers again (no warning), and the legacy
-  // solver knob returns bit-identical probabilities.
+  // Restore the budget: exact answers again (no warning), and turning the
+  // compilation cache off returns bit-identical probabilities.
   ASSERT_TRUE(db.Execute("SET dtree_node_budget = 0").ok());
-  Result<QueryResult> dtree = db.Query(conf_sql);
-  ASSERT_TRUE(dtree.ok());
-  EXPECT_EQ(dtree->message().find("warning"), std::string::npos);
-  ASSERT_TRUE(db.Execute("SET exact_solver = legacy").ok());
-  Result<QueryResult> legacy = db.Query(conf_sql);
-  ASSERT_TRUE(legacy.ok());
-  ASSERT_EQ(dtree->NumRows(), legacy->NumRows());
-  for (size_t i = 0; i < dtree->NumRows(); ++i) {
-    EXPECT_EQ(dtree->At(i, 1).AsDouble(), legacy->At(i, 1).AsDouble());
+  Result<QueryResult> cached = db.Query(conf_sql);
+  ASSERT_TRUE(cached.ok());
+  EXPECT_EQ(cached->message().find("warning"), std::string::npos);
+  ASSERT_TRUE(db.Execute("SET dtree_cache = off").ok());
+  Result<QueryResult> fresh = db.Query(conf_sql);
+  ASSERT_TRUE(fresh.ok());
+  ASSERT_EQ(cached->NumRows(), fresh->NumRows());
+  for (size_t i = 0; i < cached->NumRows(); ++i) {
+    EXPECT_EQ(cached->At(i, 1).AsDouble(), fresh->At(i, 1).AsDouble());
   }
 
   // Unknown knobs and malformed values are clean errors.

@@ -148,9 +148,8 @@ TEST(ParallelDeterminismTest, SeededAconfInvariantToBatchingKnobsOnlyViaSeed) {
 // Engine level: conf()/aconf() through SQL at varying thread counts
 // ---------------------------------------------------------------------------
 
-Database MakeWorkloadDb(unsigned num_threads, uint64_t seed) {
+Database MakeWorkloadDb(unsigned num_threads) {
   DatabaseOptions options;
-  options.seed = seed;
   options.exec.num_threads = num_threads;
   if (num_threads > 1) options.exec.morsel_size = 4;
   Database db(options);
@@ -169,11 +168,11 @@ Database MakeWorkloadDb(unsigned num_threads, uint64_t seed) {
 
 TEST(ParallelDeterminismTest, EngineConfBitEqualAcrossThreadCounts) {
   const std::string sql = "select g, conf() as p from u group by g order by g";
-  Database ref_db = MakeWorkloadDb(1, 11);
+  Database ref_db = MakeWorkloadDb(1);
   auto reference = ref_db.Query(sql);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   for (unsigned threads : {2u, 8u}) {
-    Database db = MakeWorkloadDb(threads, 11);
+    Database db = MakeWorkloadDb(threads);
     auto got = db.Query(sql);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     ASSERT_EQ(reference->NumRows(), got->NumRows());
@@ -189,11 +188,11 @@ TEST(ParallelDeterminismTest, EngineConfBitEqualAcrossThreadCounts) {
 TEST(ParallelDeterminismTest, EngineAconfBitEqualAcrossParallelThreadCounts) {
   const std::string sql =
       "select g, aconf(0.1, 0.1) as p from u group by g order by g";
-  Database ref_db = MakeWorkloadDb(2, 77);
+  Database ref_db = MakeWorkloadDb(2);
   auto reference = ref_db.Query(sql);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   for (unsigned threads : {3u, 8u}) {
-    Database db = MakeWorkloadDb(threads, 77);
+    Database db = MakeWorkloadDb(threads);
     auto got = db.Query(sql);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     ASSERT_EQ(reference->NumRows(), got->NumRows());
@@ -205,7 +204,7 @@ TEST(ParallelDeterminismTest, EngineAconfBitEqualAcrossParallelThreadCounts) {
   // Parallel aconf seeds are content-derived, so a fresh database (or a
   // rerun over unchanged lineage) reproduces the original estimates
   // exactly.
-  Database again_db = MakeWorkloadDb(2, 77);
+  Database again_db = MakeWorkloadDb(2);
   auto again = again_db.Query(sql);
   ASSERT_TRUE(again.ok());
   for (size_t i = 0; i < reference->NumRows(); ++i) {
@@ -213,7 +212,7 @@ TEST(ParallelDeterminismTest, EngineAconfBitEqualAcrossParallelThreadCounts) {
   }
   // The serial legacy stream (num_threads=1) is a different valid sample;
   // (ε,δ) bounds how far it can sit from the substream estimate.
-  Database serial_db = MakeWorkloadDb(1, 77);
+  Database serial_db = MakeWorkloadDb(1);
   auto serial = serial_db.Query(sql);
   ASSERT_TRUE(serial.ok());
   auto exact = serial_db.Query("select g, conf() as p from u group by g order by g");

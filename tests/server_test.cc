@@ -84,9 +84,7 @@ TEST(SessionTest, KnobsAndSeedsAreSessionLocal) {
   Database db;
   {
     // Scoped: sessions must be gone before ~Database tears the manager down.
-    SessionOptions a_opts;
-    a_opts.seed = 7;
-    auto a = db.session_manager().CreateSession(a_opts);
+    auto a = db.session_manager().CreateSession();
     auto b = db.session_manager().CreateSession();
 
     ASSERT_TRUE(a->Execute("SET engine = row").ok());
@@ -96,19 +94,14 @@ TEST(SessionTest, KnobsAndSeedsAreSessionLocal) {
     EXPECT_FALSE(a->options().exec.dtree_cache);
     EXPECT_TRUE(b->options().exec.dtree_cache);
 
-    // Seeds: same seed → bit-identical aconf; Reseed is per session.
+    // Seeds: aconf is seeded from lineage content, so the same statement
+    // on two sessions (with different knobs) reproduces the identical
+    // sample — not merely a close one.
     BuildPolls(a.get());
-    auto r1 = a->Query(kAconfQuery);
-    ASSERT_TRUE(r1.ok()) << r1.status().ToString();
-    a->Reseed(7);
-    b->Reseed(7);
     auto r2 = b->Query(kAconfQuery);
-    ASSERT_TRUE(r2.ok());
-    // NOTE: not merely close — the identical seed and statement stream
-    // must reproduce the identical sample.
-    a->Reseed(7);
+    ASSERT_TRUE(r2.ok()) << r2.status().ToString();
     auto r3 = a->Query(kAconfQuery);
-    ASSERT_TRUE(r3.ok());
+    ASSERT_TRUE(r3.ok()) << r3.status().ToString();
     EXPECT_EQ(ResultBits(*r2), ResultBits(*r3));
   }
 }
@@ -247,14 +240,13 @@ std::vector<std::vector<uint64_t>> RunScript(SessionManager* manager,
 }
 
 TEST(SessionStressTest, ConcurrentSessionsMatchSerialReplay) {
-  // Four concurrent sessions with distinct knobs, seeds, and evidence —
+  // Four concurrent sessions with distinct knobs and evidence —
   // both engines, serial and pooled thread counts. Each session's answers
   // must be bit-identical to replaying ITS script alone on a fresh
   // single-session database over identically-built data.
   std::vector<SessionScript> scripts(4);
   for (int k = 0; k < 4; ++k) {
     SessionScript& s = scripts[k];
-    s.options.seed = 100 + static_cast<uint64_t>(k);
     s.options.exec.num_threads = (k % 2 == 0) ? 1 : 4;
     s.options.exec.engine = (k < 2) ? ExecEngine::kBatch : ExecEngine::kRow;
     s.statements.push_back(EvidenceFor(k + 1));
@@ -319,7 +311,6 @@ TEST(SessionStressTest, ConcurrentWritersToDistinctTablesMatchSerialReplay) {
   };
   auto script = [](int k) {
     SessionScript s;
-    s.options.seed = 7 + static_cast<uint64_t>(k);
     s.options.exec.num_threads = (k % 2 == 0) ? 1 : 4;
     for (int i = 0; i < kRounds; ++i) {
       char ins[160], q[160];
@@ -445,8 +436,7 @@ TEST(ServerTest, ConnectionsAreIsolatedSessions) {
   ASSERT_TRUE(b_again.ok());
   EXPECT_EQ(b_again->lines, baseline->lines);
 
-  // Per-connection seeds: reseeding a does not perturb b.
-  ASSERT_TRUE(a.Request("\\seed 123")->ok);
+  // aconf on b is unaffected by a's evidence.
   auto b_aconf1 = b.Request(kAconfQuery);
   auto b_aconf2 = b.Request(kAconfQuery);
   ASSERT_TRUE(b_aconf1.ok() && b_aconf2.ok());

@@ -45,6 +45,10 @@ import sys
 GUARDED_CASES = [
     ("exact_vs_approx", "exact"),
     ("exact_vs_approx", "aconf"),
+    # Independent-AND factorisation: the whatif conf() group lineage, a
+    # 59 x 60 cross product of single-atom disjunctions. The binary fails
+    # the lane itself unless the value is P(A)·P(B) from a ⊙ node.
+    ("exact_vs_approx", "product"),
     ("conditioning", "conf_prior_t1"),
     ("conditioning", "conf_posterior_t1"),
     ("conditioning", "aconf_posterior_t1"),
