@@ -10,6 +10,13 @@
 // elimination hits few distinct variables; at large r (mostly disjoint
 // clauses) decomposition splits the DNF into independent pieces; the hard
 // region is in between — where the Karp-Luby/DKLR estimator wins.
+//
+// The `aconf` case times the sampler layer alone (KarpLubyConfidenceSeeded,
+// serial). Production aconf (ApproxConfidenceSeeded) first tries a bounded
+// exact compile and samples only when it goes over budget; the
+// `aconf_front` case times that front end and records whether the point
+// was answered exactly and what the failed attempt cost on the others.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <map>
@@ -116,6 +123,7 @@ int main() {
               "aconf(ms)", "exact p", "winner");
 
   int exact_wins_low = 0, approx_wins_mid = 0, exact_wins_high = 0;
+  double max_attempt_overhead = 0;  // failed exact attempt / sampler time
   std::vector<std::string> failed_checks;  // names of failed self-checks
   for (int vars : {4, 8, 16, 24, 40, 64, 96, 160, 320, 640, 1280, 2560}) {
     double ratio = static_cast<double>(vars) / kClauses;
@@ -145,10 +153,38 @@ int main() {
 
     double approx_p = -1;
     double approx_ms = TimeMs([&] {
-      Rng rng(7);
-      auto r = ApproxConfidence(inst.dnf, inst.wt, kEps, kDelta, &rng);
+      auto r = KarpLubyConfidenceSeeded(CompiledDnf(inst.dnf, inst.wt), kEps,
+                                        kDelta, 7, {}, nullptr);
       if (r.ok()) approx_p = r->estimate;
     });
+
+    // Production aconf: the exact attempt, then the same sampler. An exact
+    // answer must be the d-tree's value bit for bit; otherwise the front
+    // end must return the sampler's value bit for bit.
+    MonteCarloResult front;
+    bool front_ok = false;
+    double front_ms = TimeMs([&] {
+      auto r = ApproxConfidenceSeeded(CompiledDnf(inst.dnf, inst.wt), kEps,
+                                      kDelta, 7, {}, nullptr);
+      front_ok = r.ok();
+      if (front_ok) front = *r;
+    });
+    const bool answered_exactly = front_ok && front.samples == 0;
+    // The attempt alone, on a copy of already compiled lineage as in the
+    // front end.
+    const CompiledDnf compiled(inst.dnf, inst.wt);
+    double attempt_ms = maybms_bench::TimeMs3(
+        [&] { (void)BoundedExactConfidence(compiled); });
+    const double expected = answered_exactly ? exact_p : approx_p;
+    if (!front_ok || front.estimate != expected) {
+      std::printf("  ERROR: front-end aconf at %d vars is %.17g, expected "
+                  "%.17g (%s)\n", vars, front_ok ? front.estimate : -1.0,
+                  expected, answered_exactly ? "exact" : "sampler");
+      failed_checks.push_back(StringFormat("aconf front end at %d vars", vars));
+    }
+    if (!answered_exactly) {
+      max_attempt_overhead = std::max(max_attempt_overhead, attempt_ms / approx_ms);
+    }
 
     const char* winner;
     if (!exact_ok) {
@@ -170,7 +206,17 @@ int main() {
         .Metric("p", exact_p);
     json.Report("aconf", approx_ms).Param("vars", vars).Threads(1).Metric(
         "p", approx_p);
+    std::printf("         aconf front end %8.2f ms: %s (attempt %.3f ms)\n",
+                front_ms, answered_exactly ? "exact" : "sampled", attempt_ms);
+    json.Report("aconf_front", front_ms)
+        .Param("vars", vars)
+        .Threads(1)
+        .Metric("p", front.estimate)
+        .Metric("exact", answered_exactly ? 1.0 : 0.0)
+        .Metric("attempt_ms", attempt_ms);
   }
+  std::printf("largest exact-attempt overhead on sampled points: %.1f%% of "
+              "the sampler's time\n", 100 * max_attempt_overhead);
 
   // Independent-AND (⊙) factorisation on the whatif group shape: the
   // compiler must factor the 59 × 60 cross product into P(A) · P(B)
@@ -238,13 +284,13 @@ int main() {
       Instance inst = RandomDnf(vars, kClauses, kWidth, 42 + vars);
       double p1 = -1, p4 = -1;
       double t1 = TimeMs([&] {
-        auto r = ApproxConfidenceSeeded(CompiledDnf(inst.dnf, inst.wt), kEps,
-                                        kDelta, 7, {}, nullptr);
+        auto r = KarpLubyConfidenceSeeded(CompiledDnf(inst.dnf, inst.wt), kEps,
+                                          kDelta, 7, {}, nullptr);
         if (r.ok()) p1 = r->estimate;
       });
       double t4 = TimeMs([&] {
-        auto r = ApproxConfidenceSeeded(CompiledDnf(inst.dnf, inst.wt), kEps,
-                                        kDelta, 7, {}, &pool);
+        auto r = KarpLubyConfidenceSeeded(CompiledDnf(inst.dnf, inst.wt), kEps,
+                                          kDelta, 7, {}, &pool);
         if (r.ok()) p4 = r->estimate;
       });
       std::printf("%-20s %-8d %12.2f %12.2f %8.2fx%s\n", "aconf(seeded)", vars, t1,

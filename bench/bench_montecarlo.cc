@@ -9,7 +9,9 @@
 // This bench shows (a) the sequential-analysis sample counts as ε and δ
 // vary (expected N ∝ 1/ε² and ∝ ln(1/δ)), (b) observed error vs the ε·p
 // bound, and (c) variance adaptivity: fewer samples for low-variance
-// estimators at the same (ε,δ).
+// estimators at the same (ε,δ). It runs the sampler layer
+// (KarpLubyConfidenceSeeded) directly: production aconf would answer this
+// 40-clause DNF exactly before sampling.
 #include <cmath>
 #include <cstdio>
 
@@ -61,8 +63,8 @@ int main() {
               "rel. error", "<= eps?");
   double prev_samples = 0;
   for (double eps : {0.4, 0.2, 0.1, 0.05, 0.025}) {
-    Rng rng(2718);
-    auto r = ApproxConfidence(inst.dnf, inst.wt, eps, 0.05, &rng);
+    auto r = KarpLubyConfidenceSeeded(CompiledDnf(inst.dnf, inst.wt), eps, 0.05,
+                                      2718);
     if (!r.ok()) {
       std::printf("%-10.3f failed: %s\n", eps, r.status().ToString().c_str());
       continue;
@@ -82,8 +84,8 @@ int main() {
   PrintHeader("delta sweep (epsilon = 0.1)");
   std::printf("%-10s %14s %14s\n", "delta", "samples", "estimate");
   for (double delta : {0.3, 0.1, 0.03, 0.01, 0.003}) {
-    Rng rng(314);
-    auto r = ApproxConfidence(inst.dnf, inst.wt, 0.1, delta, &rng);
+    auto r = KarpLubyConfidenceSeeded(CompiledDnf(inst.dnf, inst.wt), 0.1,
+                                      delta, 314);
     if (!r.ok()) continue;
     std::printf("%-10.4f %14llu %14.6f\n", delta,
                 static_cast<unsigned long long>(r->samples), r->estimate);
@@ -95,11 +97,12 @@ int main() {
     // High-variance Bernoulli trial vs zero-variance constant trial with
     // the same mean: the AA algorithm's phase 2 detects the difference.
     const double mu = 0.4;
-    TrialFn bernoulli = [mu](Rng* r) { return r->NextBernoulli(mu) ? 1.0 : 0.0; };
-    TrialFn constant = [mu](Rng*) { return mu; };
-    Rng rng1(1), rng2(1);
-    auto high = OptimalEstimate(bernoulli, 0.05, 0.05, &rng1);
-    auto low = OptimalEstimate(constant, 0.05, 0.05, &rng2);
+    TrialFactory bernoulli = [mu] {
+      return TrialFn([mu](Rng* r) { return r->NextBernoulli(mu) ? 1.0 : 0.0; });
+    };
+    TrialFactory constant = [mu] { return TrialFn([mu](Rng*) { return mu; }); };
+    auto high = OptimalEstimateSeeded(bernoulli, 0.05, 0.05, 1);
+    auto low = OptimalEstimateSeeded(constant, 0.05, 0.05, 1);
     if (high.ok() && low.ok()) {
       std::printf("Bernoulli(0.4) trial: %llu samples, estimate %.4f\n",
                   static_cast<unsigned long long>(high->samples), high->estimate);
@@ -114,8 +117,8 @@ int main() {
   {
     int misses = 0;
     for (uint64_t seed = 1; seed <= 50; ++seed) {
-      Rng rng(seed * 37);
-      auto r = ApproxConfidence(inst.dnf, inst.wt, 0.1, 0.1, &rng);
+      auto r = KarpLubyConfidenceSeeded(CompiledDnf(inst.dnf, inst.wt), 0.1,
+                                        0.1, seed * 37);
       if (!r.ok()) continue;
       if (std::fabs(r->estimate - truth) > 0.1 * truth) ++misses;
     }

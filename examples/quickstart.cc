@@ -32,9 +32,8 @@ bool Show(Database* db, const std::string& sql) {
 
 int main() {
   // Queries run morsel-parallel on exec.num_threads workers (default:
-  // hardware_concurrency; 1 = fully serial). Everything deterministic
-  // (conf() included) is identical at every thread count; aconf() is
-  // identical across thread counts >= 2 (1 keeps the legacy RNG stream).
+  // hardware_concurrency; 1 = fully serial). Every answer, conf() and
+  // aconf() included, is identical at every thread count.
   maybms::DatabaseOptions options;
   options.exec.num_threads = 0;
   Database db(options);
@@ -76,7 +75,8 @@ int main() {
   // 6. possible: which answers occur in some world?
   Show(&db, "select possible forecast from tomorrow");
 
-  // 7. aconf(eps, delta): Monte Carlo approximation (Karp-Luby + DKLR).
+  // 7. aconf(eps, delta): an (eps, delta)-approximation — exact when a
+  //    small bounded compile suffices, else Karp-Luby + DKLR sampling.
   Show(&db,
        "select forecast, aconf(0.05, 0.01) as p from tomorrow group by forecast "
        "order by p desc");

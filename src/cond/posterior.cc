@@ -58,27 +58,6 @@ bool ProductCsr(const Dnf& query, const CompiledEvidence& ev, size_t budget,
   return true;
 }
 
-/// Q's clauses followed by C's as one CSR list — the combined lineage whose
-/// compiled form the conditioned Karp-Luby sampler runs on. Identical
-/// clause order to the old CombinedLineage Dnf, so the compiled form (and
-/// with it the sampling stream) is unchanged.
-CompiledDnf CombinedCompiled(const Dnf& query, const CompiledEvidence& ev,
-                             const WorldTable& wt) {
-  std::vector<Atom> atoms;
-  std::vector<uint32_t> offsets;
-  offsets.push_back(0);
-  for (const Condition& q : query.clauses()) {
-    atoms.insert(atoms.end(), q.atoms().begin(), q.atoms().end());
-    offsets.push_back(static_cast<uint32_t>(atoms.size()));
-  }
-  atoms.insert(atoms.end(), ev.atoms.begin(), ev.atoms.end());
-  for (size_t c = 1; c <= ev.NumClauses(); ++c) {
-    offsets.push_back(static_cast<uint32_t>(atoms.size()) -
-                      static_cast<uint32_t>(ev.atoms.size()) + ev.offsets[c]);
-  }
-  return CompiledDnf(atoms.data(), offsets.data(), offsets.size() - 1, wt);
-}
-
 /// True iff P(query ∧ C) > 0: some (query clause, constraint clause) pair
 /// merges consistently with all-positive atom probabilities. Guards the
 /// samplers against a zero-mean trial stream that would never terminate.
@@ -183,82 +162,59 @@ Result<double> PosteriorConditionProb(const Condition& cond,
                                 wt, options);
 }
 
-namespace {
-
-/// Shared special-case front end of the two aconf posterior paths. Returns
-/// true (with *out filled) when no sampling is needed; `exact` carries the
-/// solver options for the deterministic fallbacks.
-Result<bool> PosteriorApproxShortcut(const Dnf& query,
-                                     const ConstraintStore& store,
-                                     const WorldTable& wt,
-                                     const ExactOptions& exact,
-                                     MonteCarloResult* out) {
-  out->samples = 0;
-  if (query.IsEmpty()) {
-    out->estimate = 0;
-    return true;
+CompiledDnf ConditionedLineage(const Dnf& query, const ConstraintStore& store,
+                               const WorldTable& wt) {
+  const CompiledEvidence& ev = *store.compiled();
+  std::vector<Atom> atoms;
+  std::vector<uint32_t> offsets;
+  offsets.push_back(0);
+  for (const Condition& q : query.clauses()) {
+    atoms.insert(atoms.end(), q.atoms().begin(), q.atoms().end());
+    offsets.push_back(static_cast<uint32_t>(atoms.size()));
   }
-  if (query.HasEmptyClause()) {
-    out->estimate = 1;
-    return true;
+  atoms.insert(atoms.end(), ev.atoms.begin(), ev.atoms.end());
+  for (size_t c = 1; c <= ev.NumClauses(); ++c) {
+    offsets.push_back(static_cast<uint32_t>(atoms.size()) -
+                      static_cast<uint32_t>(ev.atoms.size()) + ev.offsets[c]);
   }
-  if (!ConjunctionPositive(query, store, wt)) {
-    out->estimate = 0;  // Q ∧ C unsatisfiable: a zero-mean trial stream
-    return true;
-  }
-  // Single-clause queries are solved exactly (mirrors the unconditioned
-  // single-clause product fast path, which a posterior cannot reuse since
-  // P(q | C) is no longer a plain product).
-  if (query.NumClauses() == 1) {
-    MAYBMS_ASSIGN_OR_RETURN(
-        double p,
-        PosteriorConditionProb(query.clauses().front(), store, wt, exact));
-    out->estimate = p;
-    return true;
-  }
-  return false;
-}
-
-}  // namespace
-
-Result<MonteCarloResult> PosteriorApproxConfidence(
-    const Dnf& query, const ConstraintStore& store, const WorldTable& wt,
-    double epsilon, double delta, Rng* rng, const MonteCarloOptions& options,
-    const ExactOptions& exact) {
-  if (!store.active() || !SharesVariables(query, store)) {
-    return ApproxConfidence(query, wt, epsilon, delta, rng, options);
-  }
-  MonteCarloResult result;
-  MAYBMS_ASSIGN_OR_RETURN(
-      bool done, PosteriorApproxShortcut(query, store, wt, exact, &result));
-  if (done) return result;
-  MAYBMS_ASSIGN_OR_RETURN(
-      MonteCarloResult mc,
-      ApproxConjunctionConfidence(CombinedCompiled(query, *store.compiled(), wt),
-                                  query.NumClauses(), epsilon, delta, rng,
-                                  options));
-  mc.estimate = Clamp01(mc.estimate / store.probability());
-  return mc;
+  return CompiledDnf(atoms.data(), offsets.data(), offsets.size() - 1, wt);
 }
 
 Result<MonteCarloResult> PosteriorApproxConfidenceSeeded(
     const Dnf& query, const ConstraintStore& store, const WorldTable& wt,
     double epsilon, double delta, uint64_t base_seed,
-    const MonteCarloOptions& options, const ExactOptions& exact,
-    ThreadPool* pool) {
+    const MonteCarloOptions& options, ThreadPool* pool) {
   if (!store.active() || !SharesVariables(query, store)) {
     return ApproxConfidenceSeeded(CompiledDnf(query, wt), epsilon, delta,
                                   base_seed, options, pool);
   }
   MonteCarloResult result;
-  MAYBMS_ASSIGN_OR_RETURN(
-      bool done, PosteriorApproxShortcut(query, store, wt, exact, &result));
-  if (done) return result;
+  if (query.IsEmpty()) return result;  // estimate 0
+  if (query.HasEmptyClause()) {
+    result.estimate = 1;  // P(C|C) = 1
+    return result;
+  }
+  // Q ∧ C unsatisfiable: the sampler's trial mean would be 0.
+  if (!ConjunctionPositive(query, store, wt)) return result;
+  // The front end caches and samples P(Q ∧ C) over the combined lineage;
+  // its exact attempt is the product path of PosteriorExactConfidence
+  // under the attempt's budget rule. Products past the clause budget go
+  // straight to sampling.
+  const CompiledEvidence& ev = *store.compiled();
   MAYBMS_ASSIGN_OR_RETURN(
       MonteCarloResult mc,
-      ApproxConjunctionConfidenceSeeded(
-          CombinedCompiled(query, *store.compiled(), wt), query.NumClauses(),
-          epsilon, delta, base_seed, options, pool));
+      ExactFirstConfidence(
+          ConditionedLineage(query, store, wt), query.NumClauses(), epsilon,
+          delta, base_seed, options, pool,
+          [&](const CompiledDnf&) -> Result<double> {
+            std::vector<Atom> atoms;
+            std::vector<uint32_t> offsets;
+            if (!ProductCsr(query, ev, kMaxProductClauses, &atoms, &offsets)) {
+              return Status::OutOfRange("Q ∧ C product over the clause budget");
+            }
+            return BoundedExactConfidence(CompiledDnf(
+                atoms.data(), offsets.data(), offsets.size() - 1, wt));
+          }));
   mc.estimate = Clamp01(mc.estimate / store.probability());
   return mc;
 }

@@ -9,10 +9,11 @@
 //     When the product would blow past a clause budget, the identity
 //     P(Q ∧ C) = P(Q) + P(C) − P(Q ∨ C) computes it from three plain DNF
 //     probabilities instead.
-//   - Approximate (aconf()): Karp-Luby trials draw coverage from Q's
-//     clauses as usual, but a trial only counts when the sampled world
-//     also satisfies C (a conditioned/rejecting sampler); the estimate of
-//     P(Q ∧ C) then divides by the store's exactly-known P(C), preserving
+//   - Approximate (aconf()): P(Q ∧ C) is first attempted exactly on the
+//     product under a small step budget; past it, Karp-Luby trials draw
+//     coverage from Q's clauses as usual, but a trial only counts when the
+//     sampled world also satisfies C (a conditioned/rejecting sampler).
+//     Either value divides by the store's exactly-known P(C), preserving
 //     the (ε,δ) relative-error guarantee.
 //   - Marginals (tconf(), esum(), ecount()): the per-tuple posterior
 //     P(cond ∧ C)/P(C), with a fast path returning the plain prior product
@@ -24,7 +25,6 @@
 
 #include "src/cond/constraint_store.h"
 #include "src/common/result.h"
-#include "src/common/rng.h"
 #include "src/conf/exact.h"
 #include "src/conf/montecarlo.h"
 #include "src/lineage/dnf.h"
@@ -40,22 +40,22 @@ Result<double> PosteriorExactConfidence(const Dnf& query,
                                         const ExactOptions& options,
                                         ThreadPool* pool);
 
-/// (ε,δ)-approximate posterior on the legacy sequential RNG stream
-/// (num_threads == 1 sessions). `exact` bounds the deterministic fallbacks
-/// (single-clause queries are solved exactly rather than sampled).
-Result<MonteCarloResult> PosteriorApproxConfidence(
-    const Dnf& query, const ConstraintStore& store, const WorldTable& wt,
-    double epsilon, double delta, Rng* rng, const MonteCarloOptions& options,
-    const ExactOptions& exact);
-
-/// Deterministic batched-substream variant (num_threads >= 2): the result
-/// is a pure function of (query, store, base_seed) — identical at any
-/// thread count and across engines.
+/// (ε,δ)-approximate posterior P(query | C) through the aconf front end
+/// (src/conf/montecarlo.h) on P(Q ∧ C): the kind-2 cache, then a bounded
+/// exact attempt on the Q ∧ C product (bit-identical to
+/// PosteriorExactConfidence when it fits), then the conditioned sampler on
+/// ConditionedLineage. The result is a pure function of (query, store,
+/// base_seed) — identical at any thread count and across engines.
 Result<MonteCarloResult> PosteriorApproxConfidenceSeeded(
     const Dnf& query, const ConstraintStore& store, const WorldTable& wt,
     double epsilon, double delta, uint64_t base_seed,
-    const MonteCarloOptions& options, const ExactOptions& exact,
-    ThreadPool* pool);
+    const MonteCarloOptions& options, ThreadPool* pool);
+
+/// Q's clauses followed by C's as one compiled lineage: the input of the
+/// conditioned Karp-Luby sampler, with the first query.NumClauses()
+/// clauses as the query prefix. Requires an active store.
+CompiledDnf ConditionedLineage(const Dnf& query, const ConstraintStore& store,
+                               const WorldTable& wt);
 
 /// Posterior marginal of a single conjunctive condition — the conditioned
 /// tconf()/esum()/ecount() kernel. With an inactive store this is exactly

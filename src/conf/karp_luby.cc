@@ -9,11 +9,6 @@ KarpLubyEstimator::KarpLubyEstimator(const Dnf& dnf, const WorldTable& wt)
   Init();
 }
 
-KarpLubyEstimator::KarpLubyEstimator(CompiledDnf dnf)
-    : dnf_(std::move(dnf)), num_coverage_(dnf_.original_clauses().size()) {
-  Init();
-}
-
 KarpLubyEstimator::KarpLubyEstimator(CompiledDnf dnf, size_t num_query_clauses)
     : dnf_(std::move(dnf)),
       num_coverage_(std::min(num_query_clauses, dnf_.original_clauses().size())) {
@@ -80,8 +75,8 @@ void KarpLubyEstimator::BuildKernels() {
     }
   }
   // Per-variable cumulative distributions: cum[k] = probs[0] + … + probs[k]
-  // accumulated left to right — bit-equal to the running sum the reference
-  // sampler computes per draw, so u maps to the identical assignment.
+  // accumulated left to right — bit-equal to a running-sum inverse-CDF
+  // draw, so u maps to the identical assignment.
   size_t n_vars = dnf_.NumVars();
   var_cum_off_.reserve(n_vars + 1);
   var_cum_off_.push_back(0);
@@ -119,7 +114,7 @@ size_t KarpLubyEstimator::SelectClause(double u) const {
   size_t i = sel_start_[b];
   while (i < n && cum[i] < u) ++i;
   while (i > 0 && !(cum[i - 1] < u)) --i;  // fp bucket-rounding correction
-  if (i >= n) i = n - 1;  // same clamp as the reference lower_bound
+  if (i >= n) i = n - 1;  // same clamp as a plain lower_bound
   return i;
 }
 
@@ -139,7 +134,7 @@ uint64_t KarpLubyEstimator::BeginTrial(size_t num_vars,
 AsgId KarpLubyEstimator::SampleVar(LocalVar var, uint64_t tag, Rng* rng,
                                    KarpLubyScratch* scratch) const {
   // Inverse-CDF draw over the precomputed partial sums; identical
-  // comparisons to the reference running-sum loop.
+  // comparisons to a running-sum inverse-CDF loop.
   double u = rng->NextDouble();
   const double* cum = var_cum_.data() + var_cum_off_[var];
   uint32_t points = var_cum_off_[var + 1] - var_cum_off_[var];  // domain − 1
@@ -183,7 +178,7 @@ bool KarpLubyEstimator::Trial(Rng* rng, KarpLubyScratch* scratch) const {
   if (coverage_width1_) {
     // Single-atom coverage clauses: one packed word per clause, no inner
     // loop. The world is consulted (and lazily drawn) in exactly the
-    // reference order.
+    // plain loop's order.
     const uint64_t* atoms = w1_atoms_.data();
     for (size_t j = 0; j < i; ++j) {
       uint64_t packed = atoms[j];
@@ -218,66 +213,6 @@ bool KarpLubyEstimator::Trial(Rng* rng, KarpLubyScratch* scratch) const {
     for (uint32_t p = pos_off_[j]; p < pos_off_[j + 1]; ++p) {
       const Atom& a = pos_atoms_[p];
       if (AssignmentOf(a.var, tag, rng, scratch) != a.asg) {
-        satisfied = false;
-        break;
-      }
-    }
-    if (satisfied) return true;
-  }
-  return false;
-}
-
-bool KarpLubyEstimator::TrialReference(Rng* rng, KarpLubyScratch* scratch) const {
-  const uint64_t tag = BeginTrial(dnf_.NumVars(), scratch);
-  // Sample clause index i proportional to its marginal probability.
-  double u = rng->NextDouble() * total_weight_;
-  size_t i = static_cast<size_t>(
-      std::lower_bound(cumulative_.begin(), cumulative_.end(), u) -
-      cumulative_.begin());
-  if (i >= cumulative_.size()) i = cumulative_.size() - 1;
-
-  // Sample a world conditioned on clause i.
-  const std::vector<ClauseId>& clauses = dnf_.original_clauses();
-  for (const Atom& a : dnf_.Clause(clauses[i])) {
-    scratch->world[a.var] = tag | a.asg;
-  }
-
-  auto assignment_of = [&](LocalVar var) -> AsgId {
-    uint64_t w = scratch->world[var];
-    if ((w & 0xffffffff00000000ull) == tag) return static_cast<AsgId>(w);
-    // Inverse-CDF sample from the variable's prior (the original running
-    // sum; SampleVar's precomputed partial sums are bit-equal to cdf here).
-    const double* probs = dnf_.VarProbs(var);
-    uint32_t domain = dnf_.DomainSize(var);
-    double u2 = rng->NextDouble();
-    double cdf = 0;
-    AsgId a = domain - 1;
-    for (uint32_t k = 0; k + 1 < domain; ++k) {
-      cdf += probs[k];
-      if (u2 < cdf) {
-        a = static_cast<AsgId>(k);
-        break;
-      }
-    }
-    scratch->world[var] = tag | a;
-    return a;
-  };
-
-  for (size_t j = 0; j < i; ++j) {
-    bool satisfied = true;
-    for (const Atom& a : dnf_.Clause(clauses[j])) {
-      if (assignment_of(a.var) != a.asg) {
-        satisfied = false;
-        break;
-      }
-    }
-    if (satisfied) return false;
-  }
-  if (num_coverage_ == clauses.size()) return true;
-  for (size_t j = num_coverage_; j < clauses.size(); ++j) {
-    bool satisfied = true;
-    for (const Atom& a : dnf_.Clause(clauses[j])) {
-      if (assignment_of(a.var) != a.asg) {
         satisfied = false;
         break;
       }

@@ -24,12 +24,11 @@
 //   - the conditioned rejection check reads the constraint suffix from the
 //     same flattened atom arrays (the compiled evidence), not the clause
 //     store.
-// The kernels consume the SAME RNG draws in the SAME order as the
-// reference implementation (TrialReference — the pre-kernel trial loop,
-// kept for parity): for any Rng state, Trial and TrialReference return the
-// same outcome and leave the generator in the same state. Seeded aconf
-// streams are therefore bit-identical to the pre-kernel engine
-// (MonteCarloOptions::use_reference_kernel and the parity tests pin this).
+// The kernels consume the SAME RNG draws in the SAME order as the plain
+// trial loop (clause selection by lower bound over the cumulative weights,
+// then running-sum inverse-CDF draws in scan order): tests/ keeps that
+// loop as an oracle and pins Trial() to it outcome for outcome and draw
+// for draw.
 #pragma once
 
 #include <vector>
@@ -60,12 +59,11 @@ class KarpLubyEstimator {
   /// (guaranteed for lineage built from Conditions).
   KarpLubyEstimator(const Dnf& dnf, const WorldTable& wt);
 
-  /// Over pre-compiled lineage (batch-engine aconf path).
-  explicit KarpLubyEstimator(CompiledDnf dnf);
-
-  /// Conditioned sampler (posterior aconf, see src/cond/posterior.h): the
-  /// compiled DNF's original clauses split into a QUERY prefix
-  /// [0, num_query_clauses) and a CONSTRAINT suffix. Coverage trials draw
+  /// Over pre-compiled lineage. With num_query_clauses at least the clause
+  /// count this is the plain estimator; otherwise a conditioned sampler
+  /// (posterior aconf, see src/cond/posterior.h): the compiled DNF's
+  /// original clauses split into a QUERY prefix [0, num_query_clauses)
+  /// and a CONSTRAINT suffix. Coverage trials draw
   /// from the query prefix as usual, but Z = 1 additionally requires the
   /// sampled world to satisfy at least one constraint clause — so
   /// E[Z] = P(query ∧ constraint) / TotalWeight(). Worlds violating the
@@ -91,11 +89,6 @@ class KarpLubyEstimator {
   /// *this: concurrent callers with distinct scratches (and distinct RNGs)
   /// never touch shared mutable state.
   bool Trial(Rng* rng, KarpLubyScratch* scratch) const;
-
-  /// The pre-kernel reference trial loop: identical outcomes and identical
-  /// RNG consumption to Trial() on every input. Kept for parity tests and
-  /// the bench self-check (MonteCarloOptions::use_reference_kernel).
-  bool TrialReference(Rng* rng, KarpLubyScratch* scratch) const;
 
  private:
   void Init();

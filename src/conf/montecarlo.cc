@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <memory>
 #include <vector>
 
 #include "src/common/str_util.h"
 #include "src/common/thread_pool.h"
 #include "src/conf/karp_luby.h"
+#include "src/lineage/dtree.h"
 #include "src/lineage/dtree_cache.h"
 #include "src/obs/metrics.h"
 
@@ -18,20 +18,17 @@ namespace {
 
 constexpr double kEMinus2 = 0.7182818284590452;  // e − 2
 
-// Observability scope for one sampled aconf entry point: counts the call,
-// records the guarantee parameter ε of the run (the "epsilon achieved" in
-// the (ε,δ)-approximation sense — the DKLR stopping rule delivers exactly
-// the requested bound when it completes), and times the call. No clock
-// calls at all when counters are absent (metrics off).
+// Observability scope for one aconf front-end call: counts the call,
+// times it, and on Answered() records the guarantee parameter ε of the
+// answer (the "epsilon achieved" in the (ε,δ)-approximation sense — the
+// DKLR stopping rule delivers exactly the requested bound when it
+// completes; an exact answer records 0). No clock calls at all when
+// counters are absent (metrics off).
 class AconfScope {
  public:
-  AconfScope(ConfPhaseCounters* obs, double epsilon) : obs_(obs) {
+  explicit AconfScope(ConfPhaseCounters* obs) : obs_(obs) {
     if (obs_ == nullptr) return;
     obs_->aconf_calls.fetch_add(1, std::memory_order_relaxed);
-    uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(epsilon), "bit width");
-    std::memcpy(&bits, &epsilon, sizeof(bits));
-    obs_->epsilon_bits.store(bits, std::memory_order_relaxed);
     t0_ = MonotonicNs();
   }
   ~AconfScope() {
@@ -42,6 +39,16 @@ class AconfScope {
   }
   AconfScope(const AconfScope&) = delete;
   AconfScope& operator=(const AconfScope&) = delete;
+
+  void Answered(double epsilon, bool exact) {
+    if (obs_ == nullptr) return;
+    uint64_t bits = 0;
+    if (!exact) {
+      static_assert(sizeof(bits) == sizeof(epsilon), "bit width");
+      std::memcpy(&bits, &epsilon, sizeof(bits));
+    }
+    obs_->epsilon_bits.store(bits, std::memory_order_relaxed);
+  }
 
  private:
   ConfPhaseCounters* obs_;
@@ -67,219 +74,6 @@ double Upsilon(double epsilon, double delta) {
 
 }  // namespace
 
-namespace {
-
-// The DKLR drivers are templated on the trial callable so the Karp-Luby
-// kernels inline into the sampling loops (the public TrialFn entry points
-// instantiate them with the type-erased std::function).
-template <class TrialF>
-Result<MonteCarloResult> StoppingRuleT(TrialF&& trial, double epsilon,
-                                       double delta, Rng* rng,
-                                       const MonteCarloOptions& options) {
-  MAYBMS_RETURN_NOT_OK(ValidateParams(epsilon, delta));
-  const double upsilon1 = 1 + (1 + epsilon) * Upsilon(epsilon, delta);
-  double sum = 0;
-  uint64_t n = 0;
-  while (sum < upsilon1) {
-    if (options.max_samples != 0 && n >= options.max_samples) {
-      return Status::OutOfRange(StringFormat(
-          "stopping-rule estimation exceeded %llu samples (mean too small "
-          "for requested ε=%g, δ=%g)",
-          static_cast<unsigned long long>(options.max_samples), epsilon, delta));
-    }
-    sum += trial(rng);
-    ++n;
-  }
-  MonteCarloResult result;
-  result.estimate = upsilon1 / static_cast<double>(n);
-  result.samples = n;
-  return result;
-}
-
-template <class TrialF>
-Result<MonteCarloResult> OptimalEstimateT(TrialF&& trial, double epsilon,
-                                          double delta, Rng* rng,
-                                          const MonteCarloOptions& options) {
-  MAYBMS_RETURN_NOT_OK(ValidateParams(epsilon, delta));
-  const double sqrt_eps = std::sqrt(epsilon);
-  const double upsilon = Upsilon(epsilon, delta);
-  const double upsilon2 = 2 * (1 + sqrt_eps) * (1 + 2 * sqrt_eps) *
-                          (1 + std::log(1.5) / std::log(2.0 / delta)) * upsilon;
-
-  // Phase 1: rough estimate with relaxed accuracy min(1/2, √ε), δ/3.
-  const double eps1 = std::min(0.5, sqrt_eps);
-  MAYBMS_ASSIGN_OR_RETURN(
-      MonteCarloResult phase1,
-      StoppingRuleT(trial, eps1, delta / 3, rng, options));
-  const double mu_hat = phase1.estimate;
-  uint64_t used = phase1.samples;
-
-  auto budget_left = [&]() -> uint64_t {
-    if (options.max_samples == 0) return UINT64_MAX;
-    return options.max_samples > used ? options.max_samples - used : 0;
-  };
-
-  // Phase 2: variance estimate from squared differences of trial pairs.
-  uint64_t n2 = static_cast<uint64_t>(std::ceil(upsilon2 * epsilon / mu_hat));
-  n2 = std::max<uint64_t>(n2, 1);
-  if (n2 > budget_left() / 2) {
-    return Status::OutOfRange("optimal estimation phase 2 exceeded sample budget");
-  }
-  double s = 0;
-  for (uint64_t i = 0; i < n2; ++i) {
-    double a = trial(rng);
-    double b = trial(rng);
-    s += (a - b) * (a - b) / 2;
-  }
-  used += 2 * n2;
-  const double rho_hat = std::max(s / static_cast<double>(n2), epsilon * mu_hat);
-
-  // Phase 3: the sequentially-determined definitive run.
-  uint64_t n3 = static_cast<uint64_t>(std::ceil(upsilon2 * rho_hat / (mu_hat * mu_hat)));
-  n3 = std::max<uint64_t>(n3, 1);
-  if (n3 > budget_left()) {
-    return Status::OutOfRange("optimal estimation phase 3 exceeded sample budget");
-  }
-  double sum = 0;
-  for (uint64_t i = 0; i < n3; ++i) sum += trial(rng);
-  used += n3;
-
-  MonteCarloResult result;
-  result.estimate = sum / static_cast<double>(n3);
-  result.samples = used;
-  return result;
-}
-
-/// One Karp-Luby Bernoulli trial over caller-owned scratch; the kernel
-/// choice (packed vs reference) is fixed per estimation run.
-///
-/// Trial/rejection observability uses functor-LOCAL plain counters
-/// flushed into the shared atomics once, on destruction — the hot trial
-/// loop never touches an atomic. The functor is created exactly once per
-/// run and passed by reference (never copied), so the flush fires once.
-struct KlTrial {
-  const KarpLubyEstimator* estimator;
-  KarpLubyScratch* scratch;
-  bool reference;
-  ConfPhaseCounters* counters = nullptr;
-  mutable uint64_t local_trials = 0;
-  mutable uint64_t local_rejections = 0;
-
-  ~KlTrial() {
-    if (counters != nullptr && local_trials != 0) {
-      counters->kl_trials.fetch_add(local_trials, std::memory_order_relaxed);
-      counters->kl_rejections.fetch_add(local_rejections,
-                                        std::memory_order_relaxed);
-    }
-  }
-
-  double operator()(Rng* rng) const {
-    bool z = reference ? estimator->TrialReference(rng, scratch)
-                       : estimator->Trial(rng, scratch);
-    if (counters != nullptr) {
-      ++local_trials;
-      if (!z) ++local_rejections;
-    }
-    return z ? 1.0 : 0.0;
-  }
-};
-
-Result<MonteCarloResult> ApproxWithEstimator(const KarpLubyEstimator& estimator,
-                                             size_t num_clauses, double single_prob,
-                                             double epsilon, double delta, Rng* rng,
-                                             const MonteCarloOptions& options) {
-  if (estimator.Trivial()) {
-    MonteCarloResult result;
-    result.estimate = estimator.TrivialProbability();
-    result.samples = 0;
-    return result;
-  }
-  // Single-clause DNFs are exact products; no sampling needed.
-  if (num_clauses == 1) {
-    MonteCarloResult result;
-    result.estimate = single_prob;
-    result.samples = 0;
-    return result;
-  }
-  KarpLubyScratch scratch;
-  KlTrial trial{&estimator, &scratch, options.use_reference_kernel,
-                options.counters};
-  // Z̄ estimates p/U with relative error ε, hence U·Z̄ estimates p with
-  // relative error ε: the mean μ = p/U ≥ 1/m (m clauses) keeps the DKLR
-  // sample bound polynomial — the Karp-Luby property.
-  MAYBMS_ASSIGN_OR_RETURN(MonteCarloResult mc,
-                          OptimalEstimateT(trial, epsilon, delta, rng, options));
-  mc.estimate = std::min(1.0, mc.estimate * estimator.TotalWeight());
-  return mc;
-}
-
-}  // namespace
-
-Result<MonteCarloResult> StoppingRuleEstimate(const TrialFn& trial, double epsilon,
-                                              double delta, Rng* rng,
-                                              const MonteCarloOptions& options) {
-  return StoppingRuleT(trial, epsilon, delta, rng, options);
-}
-
-Result<MonteCarloResult> OptimalEstimate(const TrialFn& trial, double epsilon,
-                                         double delta, Rng* rng,
-                                         const MonteCarloOptions& options) {
-  return OptimalEstimateT(trial, epsilon, delta, rng, options);
-}
-
-Result<MonteCarloResult> ApproxConfidence(const Dnf& dnf, const WorldTable& wt,
-                                          double epsilon, double delta, Rng* rng,
-                                          const MonteCarloOptions& options) {
-  MAYBMS_RETURN_NOT_OK(ValidateParams(epsilon, delta));
-  AconfScope obs_scope(options.counters, epsilon);
-  KarpLubyEstimator estimator(dnf, wt);
-  double single_prob =
-      dnf.NumClauses() == 1 ? wt.ConditionProb(dnf.clauses()[0]) : 0;
-  return ApproxWithEstimator(estimator, dnf.NumClauses(), single_prob, epsilon,
-                             delta, rng, options);
-}
-
-Result<MonteCarloResult> ApproxConfidence(CompiledDnf dnf, double epsilon,
-                                          double delta, Rng* rng,
-                                          const MonteCarloOptions& options) {
-  MAYBMS_RETURN_NOT_OK(ValidateParams(epsilon, delta));
-  AconfScope obs_scope(options.counters, epsilon);
-  size_t num_clauses = dnf.original_clauses().size();
-  double single_prob =
-      num_clauses == 1 ? dnf.ClauseProb(dnf.original_clauses()[0]) : 0;
-  KarpLubyEstimator estimator(std::move(dnf));
-  return ApproxWithEstimator(estimator, num_clauses, single_prob, epsilon, delta,
-                             rng, options);
-}
-
-Result<MonteCarloResult> ApproxConjunctionConfidence(
-    CompiledDnf dnf, size_t num_query_clauses, double epsilon, double delta,
-    Rng* rng, const MonteCarloOptions& options) {
-  MAYBMS_RETURN_NOT_OK(ValidateParams(epsilon, delta));
-  AconfScope obs_scope(options.counters, epsilon);
-  KarpLubyEstimator estimator(std::move(dnf), num_query_clauses);
-  if (estimator.Trivial()) {
-    MonteCarloResult result;
-    result.estimate = estimator.TrivialProbability();
-    result.samples = 0;
-    return result;
-  }
-  // No single-clause shortcut: P(q1 ∧ C) is not a plain product. The
-  // posterior layer handles single-clause queries exactly before reaching
-  // the sampler.
-  KarpLubyScratch scratch;
-  KlTrial trial{&estimator, &scratch, options.use_reference_kernel,
-                options.counters};
-  MAYBMS_ASSIGN_OR_RETURN(MonteCarloResult mc,
-                          OptimalEstimateT(trial, epsilon, delta, rng, options));
-  mc.estimate = std::min(1.0, mc.estimate * estimator.TotalWeight());
-  return mc;
-}
-
-// ---------------------------------------------------------------------------
-// Seeded (deterministic, parallel-capable) estimation
-// ---------------------------------------------------------------------------
-
 uint64_t SubstreamSeed(uint64_t base_seed, uint64_t batch_index) {
   // SplitMix64 finalizer over base + (k+1)·φ⁻¹: adjacent counters land in
   // statistically unrelated PCG seeds, and the map is pure — batch k's
@@ -294,16 +88,16 @@ namespace {
 
 // Fills `out` with the trial values of batches [first_batch,
 // first_batch + count) of the phase's deterministic stream. Each batch
-// gets a fresh trial instance and its own substream RNG; with a pool the
-// batches compute concurrently, but the values are identical either way.
-// Templated on the factory so concrete trial functors (the Karp-Luby
-// kernels) inline into the fill loop.
+// gets a fresh trial instance and its own substream RNG; the batches
+// compute concurrently on the pool, but the values are identical to a
+// serial pass. Templated on the factory so concrete trial functors (the
+// Karp-Luby kernels) inline into the fill loop.
 template <class MakeTrial>
 void MaterializeBatches(const MakeTrial& make_trial, uint64_t phase_seed,
                         uint64_t first_batch, uint64_t count, uint64_t batch_size,
                         ThreadPool* pool, std::vector<std::vector<double>>* out) {
   out->assign(count, {});
-  auto fill = [&](size_t b, size_t e) {
+  pool->ParallelFor(0, count, 1, [&](size_t b, size_t e) {
     for (size_t i = b; i < e; ++i) {
       auto trial = make_trial();
       Rng rng(SubstreamSeed(phase_seed, first_batch + i));
@@ -311,58 +105,81 @@ void MaterializeBatches(const MakeTrial& make_trial, uint64_t phase_seed,
       vals.resize(batch_size);
       for (uint64_t t = 0; t < batch_size; ++t) vals[t] = trial(&rng);
     }
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(0, count, 1, fill);
-  } else {
-    fill(0, count);
-  }
+  });
 }
 
-// Stopping Rule Algorithm over the deterministic batched stream: whole
-// waves of batches materialize (in parallel), then the stopping rule folds
-// trial values strictly in stream order — so the stop index, the estimate,
-// and even budget errors are thread-count independent. The trial stream is
-// a pure function of (phase_seed, sample_batch_size); the wave size is
-// only a SCHEDULING knob (it bounds speculation, never shifts values), so
-// waves grow geometrically — one batch first, doubling up to
-// batches_per_wave — and cheap stopping-rule runs don't eagerly burn a
-// full wave of trials. Trials past the stopping point inside the final
-// wave are wasted (bounded by that wave).
-template <class MakeTrial>
-Result<MonteCarloResult> StoppingRuleSeeded(const MakeTrial& make_trial,
-                                            double epsilon, double delta,
-                                            uint64_t phase_seed,
-                                            const MonteCarloOptions& options,
-                                            ThreadPool* pool) {
-  MAYBMS_RETURN_NOT_OK(ValidateParams(epsilon, delta));
-  const double upsilon1 = 1 + (1 + epsilon) * Upsilon(epsilon, delta);
+// Feeds the trial values of a phase stream to `consume`, strictly in
+// stream order, until it returns false. The stream is a pure function of
+// (phase_seed, sample_batch_size): batch k draws from
+// Rng(SubstreamSeed(phase_seed, k)) with a fresh trial instance. Serially
+// the batches run one by one and the drain stops at the exact trial. On a
+// pool, whole waves of batches materialize concurrently — `first_wave`
+// batches, doubling up to batches_per_wave, never past `max_batches` —
+// and trials past the stopping point inside the final wave are wasted.
+// Either way `consume` sees the same values, so stop indices, estimates
+// and budget errors are thread-count independent.
+template <class MakeTrial, class Consume>
+void DrainSeededStream(const MakeTrial& make_trial, uint64_t phase_seed,
+                       uint64_t first_wave, uint64_t max_batches,
+                       const MonteCarloOptions& options, ThreadPool* pool,
+                       const Consume& consume) {
   const uint64_t batch_size = std::max<uint64_t>(options.sample_batch_size, 1);
+  if (pool == nullptr) {
+    for (uint64_t k = 0; k < max_batches; ++k) {
+      auto trial = make_trial();
+      Rng rng(SubstreamSeed(phase_seed, k));
+      for (uint64_t t = 0; t < batch_size; ++t) {
+        if (!consume(trial(&rng))) return;
+      }
+    }
+    return;
+  }
   const uint64_t max_wave = std::max<uint64_t>(options.batches_per_wave, 1);
-  uint64_t wave = 1;
-  double sum = 0;
-  uint64_t n = 0;
-  uint64_t next_batch = 0;
+  uint64_t wave = std::min(first_wave, max_wave);
   std::vector<std::vector<double>> values;
-  while (sum < upsilon1) {
-    MaterializeBatches(make_trial, phase_seed, next_batch, wave, batch_size, pool,
+  for (uint64_t next = 0; next < max_batches;) {
+    const uint64_t count = std::min(wave, max_batches - next);
+    MaterializeBatches(make_trial, phase_seed, next, count, batch_size, pool,
                        &values);
-    next_batch += wave;
+    next += count;
     wave = std::min(max_wave, wave * 2);
     for (const std::vector<double>& batch : values) {
       for (double v : batch) {
-        if (sum >= upsilon1) break;
-        if (options.max_samples != 0 && n >= options.max_samples) {
-          return Status::OutOfRange(StringFormat(
-              "stopping-rule estimation exceeded %llu samples (mean too small "
-              "for requested ε=%g, δ=%g)",
-              static_cast<unsigned long long>(options.max_samples), epsilon,
-              delta));
-        }
-        sum += v;
-        ++n;
+        if (!consume(v)) return;
       }
     }
+  }
+}
+
+// Stopping Rule Algorithm over the deterministic batched stream. Waves
+// start at one batch so cheap stopping-rule runs don't eagerly burn a
+// full wave of trials on a pool.
+template <class MakeTrial>
+Result<MonteCarloResult> StoppingRuleSeededT(const MakeTrial& make_trial,
+                                             double epsilon, double delta,
+                                             uint64_t phase_seed,
+                                             const MonteCarloOptions& options,
+                                             ThreadPool* pool) {
+  MAYBMS_RETURN_NOT_OK(ValidateParams(epsilon, delta));
+  const double upsilon1 = 1 + (1 + epsilon) * Upsilon(epsilon, delta);
+  double sum = 0;
+  uint64_t n = 0;
+  bool over_budget = false;
+  DrainSeededStream(make_trial, phase_seed, 1, UINT64_MAX, options, pool,
+                    [&](double v) {
+                      if (options.max_samples != 0 && n >= options.max_samples) {
+                        over_budget = true;
+                        return false;
+                      }
+                      sum += v;
+                      ++n;
+                      return sum < upsilon1;
+                    });
+  if (over_budget) {
+    return Status::OutOfRange(StringFormat(
+        "stopping-rule estimation exceeded %llu samples (mean too small "
+        "for requested ε=%g, δ=%g)",
+        static_cast<unsigned long long>(options.max_samples), epsilon, delta));
   }
   MonteCarloResult result;
   result.estimate = upsilon1 / static_cast<double>(n);
@@ -370,31 +187,20 @@ Result<MonteCarloResult> StoppingRuleSeeded(const MakeTrial& make_trial,
   return result;
 }
 
-// Feeds the first `total` trial values of a phase stream to `consume`,
-// strictly in stream order, streaming wave by wave to bound memory.
+// Feeds the first `total` trial values of a phase stream to `consume`.
 template <class MakeTrial, class Consume>
 void SumSeededTrials(const MakeTrial& make_trial, uint64_t phase_seed,
                      uint64_t total, const MonteCarloOptions& options,
                      ThreadPool* pool, const Consume& consume) {
+  if (total == 0) return;
   const uint64_t batch_size = std::max<uint64_t>(options.sample_batch_size, 1);
-  const uint64_t wave = std::max<uint64_t>(options.batches_per_wave, 1);
   uint64_t consumed = 0;
-  uint64_t next_batch = 0;
-  std::vector<std::vector<double>> values;
-  while (consumed < total) {
-    uint64_t batches_left = (total - consumed + batch_size - 1) / batch_size;
-    uint64_t count = std::min(wave, batches_left);
-    MaterializeBatches(make_trial, phase_seed, next_batch, count, batch_size, pool,
-                       &values);
-    next_batch += count;
-    for (const std::vector<double>& batch : values) {
-      for (double v : batch) {
-        if (consumed >= total) break;
-        consume(v);
-        ++consumed;
-      }
-    }
-  }
+  DrainSeededStream(make_trial, phase_seed, UINT64_MAX,
+                    (total + batch_size - 1) / batch_size, options, pool,
+                    [&](double v) {
+                      consume(v);
+                      return ++consumed < total;
+                    });
 }
 
 template <class MakeTrial>
@@ -419,7 +225,7 @@ Result<MonteCarloResult> OptimalEstimateSeededT(const MakeTrial& make_trial,
   const double eps1 = std::min(0.5, sqrt_eps);
   MAYBMS_ASSIGN_OR_RETURN(
       MonteCarloResult phase1,
-      StoppingRuleSeeded(make_trial, eps1, delta / 3, p1_seed, options, pool));
+      StoppingRuleSeededT(make_trial, eps1, delta / 3, p1_seed, options, pool));
   const double mu_hat = phase1.estimate;
   uint64_t used = phase1.samples;
 
@@ -470,14 +276,13 @@ Result<MonteCarloResult> OptimalEstimateSeededT(const MakeTrial& make_trial,
 /// Per-batch Karp-Luby trial: owns its scratch, so each batch task samples
 /// independently (the estimator itself is read-only during trials).
 ///
-/// Like KlTrial, trial/rejection counts accumulate in plain locals and
-/// flush into the shared atomics on destruction — one atomic add pair per
-/// ~batch_size trials. The factory returns a prvalue, so each instance is
-/// constructed in place in MaterializeBatches (guaranteed elision) and
-/// destroyed exactly once at the end of its batch.
+/// Trial/rejection counts accumulate in plain locals and flush into the
+/// shared atomics on destruction — one atomic add pair per batch, never
+/// one per trial. The factory returns a prvalue, so each instance is
+/// constructed in place (guaranteed elision) and destroyed exactly once
+/// at the end of its batch.
 struct KlBatchTrial {
   const KarpLubyEstimator* estimator;
-  bool reference;
   ConfPhaseCounters* counters;
   KarpLubyScratch scratch;
   uint64_t local_trials = 0;
@@ -492,8 +297,7 @@ struct KlBatchTrial {
   }
 
   double operator()(Rng* rng) {
-    bool z = reference ? estimator->TrialReference(rng, &scratch)
-                       : estimator->Trial(rng, &scratch);
+    bool z = estimator->Trial(rng, &scratch);
     if (counters != nullptr) {
       ++local_trials;
       if (!z) ++local_rejections;
@@ -504,15 +308,21 @@ struct KlBatchTrial {
 
 struct KlTrialFactory {
   const KarpLubyEstimator* estimator;
-  bool reference;
   ConfPhaseCounters* counters;
 
-  KlBatchTrial operator()() const {
-    return KlBatchTrial{estimator, reference, counters, {}};
-  }
+  KlBatchTrial operator()() const { return KlBatchTrial{estimator, counters, {}}; }
 };
 
 }  // namespace
+
+Result<MonteCarloResult> StoppingRuleSeeded(const TrialFactory& make_trial,
+                                            double epsilon, double delta,
+                                            uint64_t base_seed,
+                                            const MonteCarloOptions& options,
+                                            ThreadPool* pool) {
+  return StoppingRuleSeededT(make_trial, epsilon, delta, base_seed, options,
+                             pool);
+}
 
 Result<MonteCarloResult> OptimalEstimateSeeded(const TrialFactory& make_trial,
                                                double epsilon, double delta,
@@ -523,63 +333,50 @@ Result<MonteCarloResult> OptimalEstimateSeeded(const TrialFactory& make_trial,
                                 pool);
 }
 
-Result<MonteCarloResult> ApproxConfidenceSeeded(CompiledDnf dnf, double epsilon,
-                                                double delta, uint64_t base_seed,
-                                                const MonteCarloOptions& options,
-                                                ThreadPool* pool) {
+Result<MonteCarloResult> KarpLubyConfidenceSeeded(
+    CompiledDnf dnf, double epsilon, double delta, uint64_t base_seed,
+    const MonteCarloOptions& options, ThreadPool* pool,
+    size_t num_query_clauses) {
   MAYBMS_RETURN_NOT_OK(ValidateParams(epsilon, delta));
-  AconfScope obs_scope(options.counters, epsilon);
-  size_t num_clauses = dnf.original_clauses().size();
-  // The seeded estimate is a pure function of (content, world version,
-  // seed, ε, δ, sampling knobs), so a cached result IS the value a rerun
-  // would sample. The key must capture the lineage before it is moved into
-  // the estimator below.
-  LineageKey key;
-  const bool use_cache = options.cache != nullptr &&
-                         num_clauses >= DTreeCache::kMinCachedClauses;
-  if (use_cache) {
-    key = BuildEstimateKey(dnf, options.world_version, base_seed, epsilon,
-                           delta, ~0ull, options);
-    MonteCarloResult cached;
-    if (options.cache->LookupEstimate(key, &cached.estimate, &cached.samples)) {
-      if (options.counters != nullptr) {
-        options.counters->estimate_hits.fetch_add(1,
-                                                  std::memory_order_relaxed);
-      }
-      return cached;
-    }
-  }
-  double single_prob =
-      num_clauses == 1 ? dnf.ClauseProb(dnf.original_clauses()[0]) : 0;
-  KarpLubyEstimator estimator(std::move(dnf));
+  KarpLubyEstimator estimator(std::move(dnf), num_query_clauses);
   if (estimator.Trivial()) {
     MonteCarloResult result;
     result.estimate = estimator.TrivialProbability();
-    result.samples = 0;
-    if (use_cache) options.cache->InsertEstimate(key, result.estimate, 0);
     return result;
   }
-  if (num_clauses == 1) {
-    MonteCarloResult result;
-    result.estimate = single_prob;
-    result.samples = 0;
-    return result;
-  }
-  KlTrialFactory factory{&estimator, options.use_reference_kernel,
-                         options.counters};
+  // Z̄ estimates p/U with relative error ε, hence U·Z̄ estimates p with
+  // relative error ε: the mean μ = p/U ≥ 1/m (m clauses) keeps the DKLR
+  // sample bound polynomial — the Karp-Luby property.
+  KlTrialFactory factory{&estimator, options.counters};
   MAYBMS_ASSIGN_OR_RETURN(
       MonteCarloResult mc,
       OptimalEstimateSeededT(factory, epsilon, delta, base_seed, options, pool));
   mc.estimate = std::min(1.0, mc.estimate * estimator.TotalWeight());
-  if (use_cache) options.cache->InsertEstimate(key, mc.estimate, mc.samples);
   return mc;
 }
 
-Result<MonteCarloResult> ApproxConjunctionConfidenceSeeded(
+uint64_t ExactAttemptBudget(size_t num_clauses) {
+  return 4 * static_cast<uint64_t>(num_clauses) + 16;
+}
+
+Result<double> BoundedExactConfidence(CompiledDnf dnf) {
+  ExactOptions options;
+  options.max_steps = ExactAttemptBudget(dnf.original_clauses().size());
+  DTreeCompiler compiler(std::move(dnf), options);
+  MAYBMS_ASSIGN_OR_RETURN(double p, compiler.CompileValue(nullptr));
+  return std::min(1.0, std::max(0.0, p));  // as ExactConfidence clamps
+}
+
+Result<MonteCarloResult> ExactFirstConfidence(
     CompiledDnf dnf, size_t num_query_clauses, double epsilon, double delta,
-    uint64_t base_seed, const MonteCarloOptions& options, ThreadPool* pool) {
+    uint64_t base_seed, const MonteCarloOptions& options, ThreadPool* pool,
+    const ExactAttempt& exact_attempt) {
   MAYBMS_RETURN_NOT_OK(ValidateParams(epsilon, delta));
-  AconfScope obs_scope(options.counters, epsilon);
+  AconfScope obs_scope(options.counters);
+  // The answer is a pure function of (content, world version, seed, ε, δ,
+  // sampling knobs) whichever way it is computed, so a cached result IS
+  // the value a rerun would return. The key must capture the lineage
+  // before it is moved into the sampler below.
   LineageKey key;
   const bool use_cache =
       options.cache != nullptr &&
@@ -593,25 +390,39 @@ Result<MonteCarloResult> ApproxConjunctionConfidenceSeeded(
         options.counters->estimate_hits.fetch_add(1,
                                                   std::memory_order_relaxed);
       }
+      obs_scope.Answered(epsilon, cached.samples == 0);
       return cached;
     }
   }
-  KarpLubyEstimator estimator(std::move(dnf), num_query_clauses);
-  if (estimator.Trivial()) {
-    MonteCarloResult result;
-    result.estimate = estimator.TrivialProbability();
-    result.samples = 0;
-    if (use_cache) options.cache->InsertEstimate(key, result.estimate, 0);
-    return result;
+  MonteCarloResult result;
+  Result<double> exact = exact_attempt(dnf);
+  if (exact.ok()) {
+    result.estimate = *exact;
+    if (options.counters != nullptr) {
+      options.counters->exact_answers.fetch_add(1, std::memory_order_relaxed);
+    }
+  } else if (exact.status().code() == StatusCode::kOutOfRange) {
+    MAYBMS_ASSIGN_OR_RETURN(
+        result, KarpLubyConfidenceSeeded(std::move(dnf), epsilon, delta,
+                                         base_seed, options, pool,
+                                         num_query_clauses));
+  } else {
+    return exact.status();
   }
-  KlTrialFactory factory{&estimator, options.use_reference_kernel,
-                         options.counters};
-  MAYBMS_ASSIGN_OR_RETURN(
-      MonteCarloResult mc,
-      OptimalEstimateSeededT(factory, epsilon, delta, base_seed, options, pool));
-  mc.estimate = std::min(1.0, mc.estimate * estimator.TotalWeight());
-  if (use_cache) options.cache->InsertEstimate(key, mc.estimate, mc.samples);
-  return mc;
+  obs_scope.Answered(epsilon, result.samples == 0);
+  if (use_cache) options.cache->InsertEstimate(key, result.estimate, result.samples);
+  return result;
+}
+
+Result<MonteCarloResult> ApproxConfidenceSeeded(CompiledDnf dnf, double epsilon,
+                                                double delta, uint64_t base_seed,
+                                                const MonteCarloOptions& options,
+                                                ThreadPool* pool) {
+  return ExactFirstConfidence(std::move(dnf), kAllClauses, epsilon, delta,
+                              base_seed, options, pool,
+                              [](const CompiledDnf& lineage) {
+                                return BoundedExactConfidence(lineage);
+                              });
 }
 
 }  // namespace maybms

@@ -18,10 +18,9 @@
 //
 // Queries run morsel-parallel on a work-stealing pool sized by
 // DatabaseOptions::exec.num_threads (default: hardware_concurrency; 1 runs
-// fully serial). Deterministic queries — including conf() — return
-// identical results at every thread count; aconf() estimates are identical
-// across all thread counts >= 2, while 1 keeps the legacy sequential
-// sampling stream (a different, equally valid (ε,δ) sample).
+// fully serial). Queries return identical results at every thread count,
+// conf() and aconf() included (aconf answers exactly when a bounded
+// compile fits, else samples on lineage-seeded substreams).
 #pragma once
 
 #include <memory>

@@ -853,8 +853,8 @@ Result<QueryResult> Session::RunOrdinary(const Statement& stmt,
   // per-operator clock reads.
   ctx.trace = analyze ? trace : nullptr;
   ctx.trace_parent = nullptr;
-  // num_threads == 1 runs fully serial (no pool, legacy bit-for-bit
-  // behavior); anything else shares the manager's pool. Morsel boundaries
+  // num_threads == 1 runs fully serial (no pool); anything else shares
+  // the manager's pool. Morsel boundaries
   // and fold orders are thread-count-invariant, so the shared pool's size
   // never shows in results.
   unsigned want = options_.exec.num_threads != 0 ? options_.exec.num_threads

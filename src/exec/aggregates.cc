@@ -130,7 +130,6 @@ Result<std::vector<std::vector<Value>>> ComputeGroupAggregates(
                 mc, PosteriorApproxConfidenceSeeded(dnf, cs, wt, agg.epsilon,
                                                     agg.delta, base_seed,
                                                     ctx->options->montecarlo,
-                                                    ctx->options->exact,
                                                     ctx->pool));
           } else {
             MAYBMS_ASSIGN_OR_RETURN(

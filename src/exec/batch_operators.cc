@@ -1778,7 +1778,7 @@ class AggregateOp : public MaterializedOperator {
                   PosteriorApproxConfidenceSeeded(
                       dnf, cs, wt, agg.epsilon, agg.delta,
                       LineageSeed(dnf), ctx_->options->montecarlo,
-                      ctx_->options->exact, ctx_->pool));
+                      ctx_->pool));
               values[a] = Value::Double(mc.estimate);
             }
             break;

@@ -85,7 +85,7 @@ Result<double> GroupConfidence(const Dnf& dnf, ExecContext* ctx) {
       cs.active()
           ? PosteriorApproxConfidenceSeeded(
                 dnf, cs, wt, options.fallback_epsilon, options.fallback_delta,
-                seed, options.montecarlo, options.exact, ctx->pool)
+                seed, options.montecarlo, ctx->pool)
           : ApproxConfidenceSeeded(CompiledDnf(dnf, wt),
                                    options.fallback_epsilon,
                                    options.fallback_delta, seed,

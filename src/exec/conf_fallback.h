@@ -8,11 +8,10 @@
 // counted on ExecContext::conf_fallbacks so the engine can attach a
 // warning to the result.
 //
-// Determinism: the fallback seed is a pure function of the group's lineage
-// content (a hash over its global-variable atoms), NOT a session-RNG draw
-// — so enabling the fallback never shifts the session stream consumed by
-// explicit aconf() calls, and the fallback estimate is identical across
-// engines, thread counts, and sessions.
+// Determinism: the fallback runs the aconf front end (src/conf/montecarlo.h)
+// with a seed that is a pure function of the group's lineage content (a
+// hash over its global-variable atoms), so the fallback answer is
+// identical across engines, thread counts, and sessions.
 #pragma once
 
 #include "src/common/result.h"

@@ -46,10 +46,10 @@ struct ExecOptions {
   /// exact.max_steps node budget, answer with a seeded
   /// aconf(fallback_epsilon, fallback_delta) estimate (plus a result
   /// warning) instead of failing the query. The fallback seed is a pure
-  /// function of the group's lineage, so enabling this never perturbs the
-  /// session RNG stream and the estimates are identical across engines and
-  /// thread counts. Off by default: the library surface keeps the hard
-  /// budget error; the shell turns it on (`SET conf_fallback = on`).
+  /// function of the group's lineage, so the estimates are identical
+  /// across engines and thread counts. Off by default: the library
+  /// surface keeps the hard budget error; the shell turns it on
+  /// (`SET conf_fallback = on`).
   bool conf_fallback = false;
   double fallback_epsilon = 0.05;
   double fallback_delta = 0.01;

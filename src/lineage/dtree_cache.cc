@@ -128,7 +128,6 @@ LineageKey BuildEstimateKey(const CompiledDnf& dnf, uint64_t world_version,
   // batches_per_wave is a pure scheduling knob and deliberately absent.
   key.words.push_back(options.max_samples);
   key.words.push_back(options.sample_batch_size);
-  key.words.push_back(static_cast<uint64_t>(options.use_reference_kernel));
   AppendClauseWords(dnf, original.data(), original.size(), &key.words);
   key.hash = HashWords(key.words);
   return key;

@@ -23,9 +23,10 @@
 //     statement after an append misses its whole-statement key but re-uses
 //     every untouched component and compiles only the delta
 //     (src/conf/exact.cc, ExactOptions::component_cache).
-//   kind 2 — seeded aconf estimates: the (estimate, samples) result of a
-//     seeded Monte Carlo run, a pure function of lineage content + world
-//     version + base seed + (ε,δ) + sampling knobs. Repeated aconf
+//   kind 2 — aconf answers: the (estimate, samples) result of the aconf
+//     front end — an exact value (samples = 0) or a seeded Monte Carlo
+//     run — a pure function of lineage content + world version + base
+//     seed + (ε,δ) + sampling knobs. Repeated aconf
 //     dashboards between writes reuse the estimate without re-sampling —
 //     and without changing any sampled value, since the cached result IS
 //     the value the rerun would produce.
@@ -64,9 +65,9 @@
 //     under a large budget must not leak past a later-tightened budget
 //     (the lookup misses and the fresh compile re-raises OutOfRange);
 //     conversely a budget-failed compile is never inserted.
-//   - SAMPLING KNOBS (kind 2): ε, δ, the base seed, max_samples,
-//     sample_batch_size, and use_reference_kernel — everything the seeded
-//     estimate is a function of. batches_per_wave is deliberately absent:
+//   - SAMPLING KNOBS (kind 2): ε, δ, the base seed, max_samples, and
+//     sample_batch_size — everything the seeded estimate is a function of
+//     (the exact-first attempt before it depends on the content alone). batches_per_wave is deliberately absent:
 //     it is a pure scheduling knob (montecarlo.h pins that it never
 //     changes the estimate). num_query_clauses distinguishes conjunction
 //     estimates (P(Q∧C) with a query prefix) from plain ones (~0).

@@ -35,6 +35,7 @@ constexpr const char* kScalarNames[] = {
     "conf.fallbacks",
     "conf.aconf.calls",
     "conf.aconf.estimate_cache_hits",
+    "conf.aconf.exact_answers",
     "conf.kl.trials",
     "conf.kl.rejections",
     "constraints.prunes",
@@ -116,6 +117,7 @@ ConfPhaseSample ConfPhaseSample::operator-(const ConfPhaseSample& b) const {
   d.aconf_calls = aconf_calls - b.aconf_calls;
   d.aconf_ns = aconf_ns - b.aconf_ns;
   d.estimate_hits = estimate_hits - b.estimate_hits;
+  d.exact_answers = exact_answers - b.exact_answers;
   d.kl_trials = kl_trials - b.kl_trials;
   d.kl_rejections = kl_rejections - b.kl_rejections;
   d.epsilon_bits = epsilon_bits;  // not a delta: last-writer value
@@ -133,6 +135,7 @@ void ConfPhaseSample::Accumulate(const ConfPhaseSample& d) {
   aconf_calls += d.aconf_calls;
   aconf_ns += d.aconf_ns;
   estimate_hits += d.estimate_hits;
+  exact_answers += d.exact_answers;
   kl_trials += d.kl_trials;
   kl_rejections += d.kl_rejections;
   if (d.epsilon_bits != 0) epsilon_bits = d.epsilon_bits;
@@ -159,6 +162,7 @@ ConfPhaseSample ConfPhaseCounters::Sample() const {
   s.aconf_calls = ld(aconf_calls);
   s.aconf_ns = ld(aconf_ns);
   s.estimate_hits = ld(estimate_hits);
+  s.exact_answers = ld(exact_answers);
   s.kl_trials = ld(kl_trials);
   s.kl_rejections = ld(kl_rejections);
   s.epsilon_bits = ld(epsilon_bits);
@@ -337,6 +341,7 @@ void MetricsRegistry::FoldConfPhases(const ConfPhaseSample& s) {
   add(Counter::kConfExactCompileNodes, s.compile_nodes);
   add(Counter::kAconfCalls, s.aconf_calls);
   add(Counter::kAconfEstimateCacheHits, s.estimate_hits);
+  add(Counter::kAconfExactAnswers, s.exact_answers);
   add(Counter::kKlTrials, s.kl_trials);
   add(Counter::kKlRejections, s.kl_rejections);
 }

@@ -69,6 +69,7 @@ enum class Counter : uint16_t {
   // Approximate confidence (Karp-Luby).
   kAconfCalls,
   kAconfEstimateCacheHits,  // seeded-estimate (kind-2) cache answers
+  kAconfExactAnswers,       // groups answered by the bounded exact attempt
   kKlTrials,                // Bernoulli trials drawn
   kKlRejections,            // trials rejected (Z = 0)
 
@@ -115,7 +116,7 @@ enum class Hist : uint16_t {
   kStmtLockWait,  // total statement-lock wait
   kStmtExecute,
   kConfExact,  // per ExactConfidence call
-  kConfAconf,  // per sampled aconf call
+  kConfAconf,  // per aconf call (cache probe, exact attempt, sampling)
   kLockCatalog,
   kLockWorld,
   kLockTable,
@@ -135,6 +136,7 @@ struct ConfPhaseSample {
   uint64_t aconf_calls = 0;
   uint64_t aconf_ns = 0;
   uint64_t estimate_hits = 0;
+  uint64_t exact_answers = 0;
   uint64_t kl_trials = 0;
   uint64_t kl_rejections = 0;
   uint64_t epsilon_bits = 0;  // bit pattern of the last aconf epsilon
@@ -163,12 +165,14 @@ struct ConfPhaseCounters {
   std::atomic<uint64_t> aconf_calls{0};
   std::atomic<uint64_t> aconf_ns{0};
   std::atomic<uint64_t> estimate_hits{0};
+  std::atomic<uint64_t> exact_answers{0};
   std::atomic<uint64_t> kl_trials{0};
   std::atomic<uint64_t> kl_rejections{0};
   // Bit pattern of the epsilon GUARANTEED by the most recent completed
-  // aconf estimation (the DKLR stopping rule's parameter; "achieved" in
-  // the (eps, delta)-approximation sense). Last-writer-wins is fine: the
-  // trace renders it per statement, not per trial.
+  // aconf answer (the DKLR stopping rule's parameter; "achieved" in the
+  // (eps, delta)-approximation sense; 0 for an exact answer).
+  // Last-writer-wins is fine: the trace renders it per statement, not per
+  // trial.
   std::atomic<uint64_t> epsilon_bits{0};
 
   ConfPhaseSample Sample() const;

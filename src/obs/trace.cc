@@ -39,10 +39,11 @@ void AppendConfSummary(const ConfPhaseSample& c, std::string* out) {
   }
   if (c.aconf_calls != 0 || c.kl_trials != 0 || c.estimate_hits != 0) {
     std::snprintf(buf, sizeof(buf),
-                  " aconf[calls=%llu %s trials=%llu rejections=%llu "
-                  "est_hits=%llu eps=%g]",
+                  " aconf[calls=%llu %s exact=%llu trials=%llu "
+                  "rejections=%llu est_hits=%llu eps=%g]",
                   static_cast<unsigned long long>(c.aconf_calls),
                   Ms(c.aconf_ns).c_str(),
+                  static_cast<unsigned long long>(c.exact_answers),
                   static_cast<unsigned long long>(c.kl_trials),
                   static_cast<unsigned long long>(c.kl_rejections),
                   static_cast<unsigned long long>(c.estimate_hits),

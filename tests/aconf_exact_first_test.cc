@@ -1,0 +1,396 @@
+// The exact-first aconf() policy (src/conf/montecarlo.h): every aconf entry
+// point looks up the kind-2 estimate cache, then tries a bounded serial
+// d-tree compile (budget ExactAttemptBudget(m) = 4·m + 16 steps), and
+// samples with Karp-Luby only when the compile goes over budget.
+//
+//   (a) under-budget lineage: aconf is bit-identical to conf() under
+//       default options, with samples == 0;
+//   (b) over-budget lineage: aconf is bit-identical to the sampler layer
+//       (KarpLubyConfidenceSeeded) at the same seed;
+//   (c) lineage whose step count sits exactly at the budget (and one step
+//       past it) takes the same path on both engines, at num_threads
+//       {1, 2, 8}, with the d-tree cache and its component reuse on/off;
+//   (d) a conditioned group's exact answer is the posterior exact solver's;
+//   (e) a warm repeat is served from the kind-2 entry.
+// Plus the conditioned sampler layer against the plain Karp-Luby trial
+// loop (tests/karp_luby_oracle.h), conjunction suffix included.
+//
+// The suite name starts with "Parallel" so the TSan lane runs it.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstring>
+#include <map>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "src/common/rng.h"
+#include "src/common/str_util.h"
+#include "src/common/thread_pool.h"
+#include "src/cond/posterior.h"
+#include "src/conf/exact.h"
+#include "src/conf/montecarlo.h"
+#include "src/engine/database.h"
+#include "src/exec/conf_fallback.h"
+#include "src/lineage/dtree.h"
+#include "src/lineage/dtree_cache.h"
+#include "tests/karp_luby_oracle.h"
+
+namespace maybms {
+namespace {
+
+uint64_t Bits(double d) {
+  uint64_t b;
+  std::memcpy(&b, &d, sizeof(b));
+  return b;
+}
+
+struct Instance {
+  WorldTable wt;
+  Dnf dnf;
+};
+
+// Random monotone DNF: `clauses` clauses of up to `width` Boolean atoms
+// over `vars` variables.
+Instance RandomDnf(int vars, int clauses, int width, Rng* rng) {
+  Instance inst;
+  std::vector<VarId> ids;
+  for (int i = 0; i < vars; ++i) {
+    ids.push_back(*inst.wt.NewBooleanVariable(0.1 + 0.4 * rng->NextDouble()));
+  }
+  for (int c = 0; c < clauses; ++c) {
+    std::vector<Atom> atoms;
+    for (int a = 0; a < width; ++a) {
+      atoms.push_back({ids[rng->NextBounded(ids.size())], 1});
+    }
+    auto cond = Condition::FromAtoms(std::move(atoms));
+    if (cond) inst.dnf.AddClause(std::move(*cond));
+  }
+  return inst;
+}
+
+// Steps an unbounded serial compile with default options takes.
+uint64_t CompileSteps(const CompiledDnf& dnf) {
+  DTreeCompiler compiler(dnf, ExactOptions{});
+  EXPECT_TRUE(compiler.CompileValue(nullptr).ok());
+  return compiler.StepsUsed();
+}
+
+// (a) + (b) on random lineage, serially and on a pool.
+TEST(ParallelExactFirstAconfTest, ExactUnderBudgetSamplerOverBudget) {
+  Rng rng(2718);
+  ThreadPool pool(4);
+  int exact = 0, sampled = 0;
+  for (int iter = 0; iter < 80; ++iter) {
+    SCOPED_TRACE(StringFormat("iteration %d", iter));
+    const int vars = 4 + static_cast<int>(rng.NextBounded(30));
+    const int clauses = 2 + static_cast<int>(rng.NextBounded(45));
+    Instance inst = RandomDnf(vars, clauses, 1 + iter % 3, &rng);
+    const CompiledDnf compiled(inst.dnf, inst.wt);
+    const uint64_t seed = LineageSeed(compiled);
+    const bool fits =
+        CompileSteps(compiled) <= ExactAttemptBudget(inst.dnf.NumClauses());
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      auto aconf = ApproxConfidenceSeeded(compiled, 0.1, 0.1, seed, {}, p);
+      ASSERT_TRUE(aconf.ok()) << aconf.status().ToString();
+      if (fits) {
+        Result<double> conf = ExactConfidence(inst.dnf, inst.wt);
+        ASSERT_TRUE(conf.ok());
+        EXPECT_EQ(aconf->samples, 0u);
+        EXPECT_EQ(Bits(aconf->estimate), Bits(*conf));
+      } else {
+        auto sampler = KarpLubyConfidenceSeeded(compiled, 0.1, 0.1, seed, {}, p);
+        ASSERT_TRUE(sampler.ok());
+        EXPECT_GT(aconf->samples, 0u);
+        EXPECT_EQ(aconf->samples, sampler->samples);
+        EXPECT_EQ(Bits(aconf->estimate), Bits(sampler->estimate));
+      }
+    }
+    ++(fits ? exact : sampled);
+  }
+  EXPECT_GE(exact, 10);
+  EXPECT_GE(sampled, 10);
+}
+
+// ---------------------------------------------------------------------------
+// (c) the budget boundary through SQL
+// ---------------------------------------------------------------------------
+
+// A graph lineage: K repair-key variables x_k over {0, 1} and a certain
+// edge table e; the statement's lineage is ∨_{(i,j) ∈ e} (x_i=0 ∧ x_j=0).
+// The generator's parameters pick the edge set.
+struct GraphLineage {
+  int keys;
+  int edge_percent;
+  uint64_t seed;
+};
+
+std::vector<std::string> GraphScript(const GraphLineage& g) {
+  Rng rng(g.seed * 1000 + g.keys * 7 + g.edge_percent);
+  std::vector<std::string> script = {"create table t (k int, v int, w double)"};
+  std::string rows;
+  for (int k = 0; k < g.keys; ++k) {
+    rows += StringFormat("%s(%d, 0, %g), (%d, 1, %g)", k == 0 ? "" : ", ", k,
+                         0.2 + rng.NextDouble(), k, 0.2 + rng.NextDouble());
+  }
+  script.push_back("insert into t values " + rows);
+  script.push_back("create table u as repair key k in t weight by w");
+  script.push_back("create table e (i int, j int)");
+  std::string edges;
+  for (int i = 0; i < g.keys; ++i) {
+    for (int j = i + 1; j < g.keys; ++j) {
+      if (rng.NextBounded(100) < static_cast<uint64_t>(g.edge_percent)) {
+        edges += StringFormat("%s(%d, %d)", edges.empty() ? "" : ", ", i, j);
+      }
+    }
+  }
+  script.push_back("insert into e values " + edges);
+  return script;
+}
+
+constexpr const char* kGraphFrom =
+    " from e, u a, u b where e.i = a.k and e.j = b.k and a.v = 0 and b.v = 0";
+
+struct Config {
+  ExecEngine engine;
+  unsigned num_threads;
+  bool dtree_cache;
+  bool component_cache;
+};
+
+std::vector<Config> AllConfigs() {
+  std::vector<Config> configs;
+  for (ExecEngine engine : {ExecEngine::kRow, ExecEngine::kBatch}) {
+    for (unsigned threads : {1u, 2u, 8u}) {
+      configs.push_back({engine, threads, true, true});
+      configs.push_back({engine, threads, true, false});
+      configs.push_back({engine, threads, false, true});
+    }
+  }
+  return configs;
+}
+
+std::unique_ptr<Database> MakeDb(const Config& c,
+                                 const std::vector<std::string>& script) {
+  DatabaseOptions options;
+  options.exec.engine = c.engine;
+  options.exec.num_threads = c.num_threads;
+  if (c.num_threads > 1) options.exec.morsel_size = 4;
+  auto db = std::make_unique<Database>(options);
+  for (const std::string& sql : script) EXPECT_TRUE(db->Execute(sql).ok()) << sql;
+  EXPECT_TRUE(db->Execute(StringFormat("set dtree_cache = %s",
+                                       c.dtree_cache ? "on" : "off"))
+                  .ok());
+  EXPECT_TRUE(db->Execute(StringFormat("set dtree_component_cache = %s",
+                                       c.component_cache ? "on" : "off"))
+                  .ok());
+  return db;
+}
+
+// The statement's lineage in the engines' canonical clause order.
+Dnf StatementLineage(Database* db) {
+  Result<QueryResult> rows =
+      db->Query(std::string("select e.i, e.j") + kGraphFrom);
+  EXPECT_TRUE(rows.ok());
+  std::vector<Condition> conds;
+  for (const Row& row : rows->rows()) conds.push_back(row.condition);
+  std::sort(conds.begin(), conds.end());
+  Dnf dnf;
+  for (const Condition& c : conds) dnf.AddClause(c);
+  return dnf;
+}
+
+// Runs aconf over the graph lineage in every config; every answer must be
+// `expected` bit for bit, and exact answers must be counted as such.
+void ExpectSamePathEverywhere(const GraphLineage& g, int64_t steps_past_budget) {
+  const std::vector<std::string> script = GraphScript(g);
+  auto reference = MakeDb(AllConfigs().front(), script);
+  const Dnf dnf = StatementLineage(reference.get());
+  const WorldTable& wt = reference->catalog().world_table();
+  const CompiledDnf compiled(dnf, wt);
+  // The generator parameters were picked for this distance to the budget;
+  // a compiler change that moves it needs new parameters, not a looser test.
+  ASSERT_EQ(static_cast<int64_t>(CompileSteps(compiled)) -
+                static_cast<int64_t>(ExactAttemptBudget(dnf.NumClauses())),
+            steps_past_budget);
+  const bool exact = steps_past_budget <= 0;
+
+  double expected;
+  if (exact) {
+    Result<double> conf = ExactConfidence(dnf, wt);
+    ASSERT_TRUE(conf.ok());
+    expected = *conf;
+  } else {
+    auto sampled = KarpLubyConfidenceSeeded(compiled, 0.05, 0.05,
+                                            LineageSeed(compiled));
+    ASSERT_TRUE(sampled.ok());
+    ASSERT_GT(sampled->samples, 0u);
+    expected = sampled->estimate;
+  }
+  for (const Config& c : AllConfigs()) {
+    SCOPED_TRACE(StringFormat("%s/%u cache=%d component=%d",
+                              c.engine == ExecEngine::kRow ? "row" : "batch",
+                              c.num_threads, c.dtree_cache, c.component_cache));
+    auto db = MakeDb(c, script);
+    auto before = db->session_manager().StatsSnapshot();
+    Result<QueryResult> r =
+        db->Query(std::string("select aconf(0.05, 0.05) as p") + kGraphFrom);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_EQ(r->NumRows(), 1u);
+    EXPECT_EQ(Bits(r->At(0, 0).AsDouble()), Bits(expected));
+    auto after = db->session_manager().StatsSnapshot();
+    double exact_answers = 0;
+    for (const auto& [name, v] : after) {
+      if (name == "conf.aconf.exact_answers") exact_answers += v;
+    }
+    for (const auto& [name, v] : before) {
+      if (name == "conf.aconf.exact_answers") exact_answers -= v;
+    }
+    EXPECT_EQ(exact_answers, exact ? 1.0 : 0.0);
+  }
+}
+
+TEST(ParallelExactFirstAconfTest, AtBudgetLineageAnsweredExactlyInEveryConfig) {
+  ExpectSamePathEverywhere({20, 20, 15}, 0);
+}
+
+TEST(ParallelExactFirstAconfTest, OneStepOverBudgetSampledInEveryConfig) {
+  ExpectSamePathEverywhere({26, 8, 11}, 1);
+}
+
+// ---------------------------------------------------------------------------
+// (d) conditioned groups, (e) warm repeats
+// ---------------------------------------------------------------------------
+
+// A repair-key space with disjunctive (non-determining) evidence, so every
+// group's aconf runs the posterior front end.
+std::unique_ptr<Database> ConditionedSpace(unsigned threads) {
+  DatabaseOptions options;
+  options.exec.num_threads = threads;
+  auto db = std::make_unique<Database>(options);
+  EXPECT_TRUE(db->Execute("create table base (id int, k int, v int, w double)").ok());
+  std::string rows;
+  int id = 0;
+  for (int k = 0; k < 30; ++k) {
+    for (int a = 0; a < 3; ++a) {
+      rows += StringFormat("%s(%d, %d, %d, %g)", id == 0 ? "" : ", ", id, k, a,
+                           1.0 + a + (k % 4));
+      ++id;
+    }
+  }
+  EXPECT_TRUE(db->Execute("insert into base values " + rows).ok());
+  EXPECT_TRUE(
+      db->Execute("create table u as repair key k in base weight by w").ok());
+  EXPECT_TRUE(db->Execute("assert select * from u u1, u u2 where u1.k = 0 and "
+                          "u2.k = 1 and u1.v = u2.v and u1.v <= 1")
+                  .ok());
+  EXPECT_TRUE(db->constraints().active());
+  return db;
+}
+
+// Group v's lineage in canonical order.
+std::map<int64_t, Dnf> GroupLineage(Database* db) {
+  std::map<int64_t, std::vector<Condition>> conds;
+  for (const Row& row : (*db->catalog().GetTable("u"))->rows()) {
+    conds[row.values[2].AsInt()].push_back(row.condition);
+  }
+  std::map<int64_t, Dnf> groups;
+  for (auto& [v, list] : conds) {
+    std::sort(list.begin(), list.end());
+    for (const Condition& c : list) groups[v].AddClause(c);
+  }
+  return groups;
+}
+
+TEST(ParallelExactFirstAconfTest, ConditionedGroupMatchesPosteriorExactSolver) {
+  for (unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE(StringFormat("threads %u", threads));
+    auto db = ConditionedSpace(threads);
+    const WorldTable& wt = db->catalog().world_table();
+    for (const auto& [v, dnf] : GroupLineage(db.get())) {
+      auto aconf = PosteriorApproxConfidenceSeeded(
+          dnf, db->constraints(), wt, 0.1, 0.1, LineageSeed(dnf), {}, nullptr);
+      Result<double> exact = PosteriorExactConfidence(
+          dnf, db->constraints(), wt, ExactOptions{}, nullptr);
+      ASSERT_TRUE(aconf.ok());
+      ASSERT_TRUE(exact.ok());
+      EXPECT_EQ(aconf->samples, 0u) << "group " << v;
+      EXPECT_EQ(Bits(aconf->estimate), Bits(*exact)) << "group " << v;
+    }
+    Result<QueryResult> aconf =
+        db->Query("select v, aconf(0.1, 0.1) as p from u group by v order by v");
+    Result<QueryResult> conf =
+        db->Query("select v, conf() as p from u group by v order by v");
+    ASSERT_TRUE(aconf.ok());
+    ASSERT_TRUE(conf.ok());
+    ASSERT_EQ(aconf->NumRows(), 3u);
+    ASSERT_EQ(conf->NumRows(), 3u);
+    for (size_t r = 0; r < 3; ++r) {
+      EXPECT_EQ(Bits(aconf->At(r, 1).AsDouble()), Bits(conf->At(r, 1).AsDouble()))
+          << "row " << r;
+    }
+  }
+}
+
+TEST(ParallelExactFirstAconfTest, WarmRepeatServedFromEstimateCache) {
+  auto db = ConditionedSpace(4);
+  const char* sql = "select v, aconf(0.1, 0.1) as p from u group by v order by v";
+  auto metric = [&](const char* name) {
+    for (const auto& [n, v] : db->session_manager().StatsSnapshot()) {
+      if (n == name) return v;
+    }
+    return 0.0;
+  };
+  Result<QueryResult> cold = db->Query(sql);
+  ASSERT_TRUE(cold.ok());
+  const DTreeCache::Stats after_cold = db->catalog().dtree_cache().stats();
+  EXPECT_EQ(metric("conf.aconf.exact_answers"), 3.0);
+  EXPECT_EQ(after_cold.estimate_insertions, 3u);
+
+  Result<QueryResult> warm = db->Query(sql);
+  ASSERT_TRUE(warm.ok());
+  const DTreeCache::Stats after_warm = db->catalog().dtree_cache().stats();
+  EXPECT_EQ(metric("conf.aconf.exact_answers"), 3.0);  // no new attempt
+  EXPECT_EQ(metric("conf.aconf.estimate_cache_hits"), 3.0);
+  EXPECT_EQ(after_warm.estimate_hits - after_cold.estimate_hits, 3u);
+  EXPECT_EQ(after_warm.estimate_insertions, after_cold.estimate_insertions);
+  for (size_t r = 0; r < 3; ++r) {
+    EXPECT_EQ(Bits(cold->At(r, 1).AsDouble()), Bits(warm->At(r, 1).AsDouble()));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The conditioned sampler layer against the plain trial loop
+// ---------------------------------------------------------------------------
+
+TEST(ParallelExactFirstAconfTest, ConditionedSamplerMatchesReferenceOracle) {
+  auto db = ConditionedSpace(1);
+  const WorldTable& wt = db->catalog().world_table();
+  ThreadPool pool(4);
+  for (const auto& [v, dnf] : GroupLineage(db.get())) {
+    SCOPED_TRACE(StringFormat("group %lld", static_cast<long long>(v)));
+    const CompiledDnf lineage = ConditionedLineage(dnf, db->constraints(), wt);
+    const size_t nq = dnf.NumClauses();
+    ASSERT_GT(lineage.original_clauses().size(), nq);  // constraint suffix
+    const uint64_t seed = LineageSeed(dnf);
+    auto packed = KarpLubyConfidenceSeeded(lineage, 0.1, 0.1, seed, {}, nullptr, nq);
+    ASSERT_TRUE(packed.ok()) << packed.status().ToString();
+    ASSERT_GT(packed->samples, 0u);
+
+    ReferenceKarpLuby reference(lineage, nq);
+    auto oracle = OptimalEstimateSeeded(reference.Factory(), 0.1, 0.1, seed);
+    ASSERT_TRUE(oracle.ok());
+    EXPECT_EQ(packed->samples, oracle->samples);
+    EXPECT_EQ(Bits(packed->estimate),
+              Bits(std::min(1.0, oracle->estimate * reference.TotalWeight())));
+
+    auto parallel =
+        KarpLubyConfidenceSeeded(lineage, 0.1, 0.1, seed, {}, &pool, nq);
+    ASSERT_TRUE(parallel.ok());
+    EXPECT_EQ(Bits(packed->estimate), Bits(parallel->estimate));
+  }
+}
+
+}  // namespace
+}  // namespace maybms

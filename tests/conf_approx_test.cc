@@ -1,5 +1,7 @@
-// Tests for approximate confidence computation: the Karp-Luby estimator
-// and the Dagum-Karp-Luby-Ross optimal Monte Carlo algorithms.
+// Tests for approximate confidence computation: the Karp-Luby estimator,
+// the Dagum-Karp-Luby-Ross optimal Monte Carlo algorithms on seeded
+// substreams, and the sampler layer (KarpLubyConfidenceSeeded) that the
+// aconf front end falls back to.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -86,39 +88,42 @@ TEST(KarpLubyTest, UnbiasedOnMultiValuedVariables) {
 // DKLR stopping rule and AA
 // ---------------------------------------------------------------------------
 
+// Seeded trial factories over stateless trial functions.
+TrialFactory Trials(TrialFn trial) {
+  return [trial] { return trial; };
+}
+
 TEST(MonteCarloTest, ParameterValidation) {
-  Rng rng(1);
-  TrialFn coin = [](Rng* r) { return r->NextBernoulli(0.5) ? 1.0 : 0.0; };
-  EXPECT_FALSE(StoppingRuleEstimate(coin, 0.0, 0.1, &rng).ok());
-  EXPECT_FALSE(StoppingRuleEstimate(coin, 1.5, 0.1, &rng).ok());
-  EXPECT_FALSE(StoppingRuleEstimate(coin, 0.1, 0.0, &rng).ok());
-  EXPECT_FALSE(OptimalEstimate(coin, 0.1, 1.2, &rng).ok());
+  TrialFactory coin =
+      Trials([](Rng* r) { return r->NextBernoulli(0.5) ? 1.0 : 0.0; });
+  EXPECT_FALSE(StoppingRuleSeeded(coin, 0.0, 0.1, 1).ok());
+  EXPECT_FALSE(StoppingRuleSeeded(coin, 1.5, 0.1, 1).ok());
+  EXPECT_FALSE(StoppingRuleSeeded(coin, 0.1, 0.0, 1).ok());
+  EXPECT_FALSE(OptimalEstimateSeeded(coin, 0.1, 1.2, 1).ok());
 }
 
 TEST(MonteCarloTest, StoppingRuleWithinRelativeError) {
-  Rng rng(42);
   const double mu = 0.37;
-  TrialFn trial = [mu](Rng* r) { return r->NextBernoulli(mu) ? 1.0 : 0.0; };
-  auto result = StoppingRuleEstimate(trial, 0.1, 0.05, &rng);
+  auto result = StoppingRuleSeeded(
+      Trials([mu](Rng* r) { return r->NextBernoulli(mu) ? 1.0 : 0.0; }), 0.1,
+      0.05, 42);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_NEAR(result->estimate, mu, mu * 0.1);
   EXPECT_GT(result->samples, 100u);
 }
 
 TEST(MonteCarloTest, StoppingRuleDeterministicTrialExact) {
-  Rng rng(42);
-  TrialFn one = [](Rng*) { return 1.0; };
-  auto result = StoppingRuleEstimate(one, 0.1, 0.05, &rng);
+  auto result = StoppingRuleSeeded(Trials([](Rng*) { return 1.0; }), 0.1, 0.05, 42);
   ASSERT_TRUE(result.ok());
   // Sum reaches Υ₁ after ⌈Υ₁⌉ trials: estimate = Υ₁/⌈Υ₁⌉ ≈ 1.
   EXPECT_NEAR(result->estimate, 1.0, 0.01);
 }
 
 TEST(MonteCarloTest, OptimalEstimateWithinRelativeError) {
-  Rng rng(4242);
   const double mu = 0.23;
-  TrialFn trial = [mu](Rng* r) { return r->NextBernoulli(mu) ? 1.0 : 0.0; };
-  auto result = OptimalEstimate(trial, 0.05, 0.05, &rng);
+  auto result = OptimalEstimateSeeded(
+      Trials([mu](Rng* r) { return r->NextBernoulli(mu) ? 1.0 : 0.0; }), 0.05,
+      0.05, 4242);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_NEAR(result->estimate, mu, mu * 0.05);
 }
@@ -128,11 +133,11 @@ TEST(MonteCarloTest, OptimalEstimateWithinRelativeError) {
 // 2) before committing to the main run.
 TEST(MonteCarloTest, LowVarianceNeedsFewerSamples) {
   const double mu = 0.5;
-  TrialFn bernoulli = [mu](Rng* r) { return r->NextBernoulli(mu) ? 1.0 : 0.0; };
-  TrialFn constant = [mu](Rng*) { return mu; };  // zero variance
-  Rng rng1(9), rng2(9);
-  auto high = OptimalEstimate(bernoulli, 0.02, 0.05, &rng1);
-  auto low = OptimalEstimate(constant, 0.02, 0.05, &rng2);
+  TrialFactory bernoulli =
+      Trials([mu](Rng* r) { return r->NextBernoulli(mu) ? 1.0 : 0.0; });
+  TrialFactory constant = Trials([mu](Rng*) { return mu; });  // zero variance
+  auto high = OptimalEstimateSeeded(bernoulli, 0.02, 0.05, 9);
+  auto low = OptimalEstimateSeeded(constant, 0.02, 0.05, 9);
   ASSERT_TRUE(high.ok());
   ASSERT_TRUE(low.ok());
   EXPECT_LT(low->samples, high->samples / 2);
@@ -140,11 +145,11 @@ TEST(MonteCarloTest, LowVarianceNeedsFewerSamples) {
 }
 
 TEST(MonteCarloTest, SampleBudgetEnforced) {
-  Rng rng(5);
-  TrialFn rare = [](Rng* r) { return r->NextBernoulli(1e-7) ? 1.0 : 0.0; };
+  TrialFactory rare =
+      Trials([](Rng* r) { return r->NextBernoulli(1e-7) ? 1.0 : 0.0; });
   MonteCarloOptions options;
   options.max_samples = 10000;
-  auto result = StoppingRuleEstimate(rare, 0.1, 0.05, &rng, options);
+  auto result = StoppingRuleSeeded(rare, 0.1, 0.05, 5, options);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kOutOfRange);
 }
@@ -153,17 +158,18 @@ TEST(MonteCarloTest, SampleBudgetEnforced) {
 // aconf(ε,δ) end to end on lineage
 // ---------------------------------------------------------------------------
 
+// The front end answers trivial and single-clause lineage through its
+// exact attempt: no trials at all.
 TEST(ApproxConfidenceTest, TrivialAndSingleClauseNeedNoSampling) {
   WorldTable wt;
-  Rng rng(1);
-  auto empty = ApproxConfidence(Dnf(), wt, 0.1, 0.1, &rng);
+  auto empty = ApproxConfidenceSeeded(CompiledDnf(Dnf(), wt), 0.1, 0.1, 1);
   ASSERT_TRUE(empty.ok());
   EXPECT_DOUBLE_EQ(empty->estimate, 0.0);
   EXPECT_EQ(empty->samples, 0u);
 
   VarId x = *wt.NewBooleanVariable(0.37);
   Dnf one({C({{x, 1}})});
-  auto single = ApproxConfidence(one, wt, 0.1, 0.1, &rng);
+  auto single = ApproxConfidenceSeeded(CompiledDnf(one, wt), 0.1, 0.1, 1);
   ASSERT_TRUE(single.ok());
   EXPECT_DOUBLE_EQ(single->estimate, 0.37);
   EXPECT_EQ(single->samples, 0u);
@@ -190,8 +196,8 @@ TEST_P(AconfSweepTest, WithinEpsilonOfExact) {
     if (cond) dnf.AddClause(std::move(*cond));
   }
   double truth = *ExactConfidence(dnf, wt);
-  Rng rng(2025);
-  auto approx = ApproxConfidence(dnf, wt, epsilon, 0.05, &rng);
+  auto approx =
+      KarpLubyConfidenceSeeded(CompiledDnf(dnf, wt), epsilon, 0.05, 2025);
   ASSERT_TRUE(approx.ok()) << approx.status().ToString();
   EXPECT_NEAR(approx->estimate, truth, truth * epsilon)
       << "epsilon " << epsilon << " samples " << approx->samples;
@@ -210,9 +216,8 @@ TEST(ApproxConfidenceTest, SampleCountGrowsAsEpsilonShrinks) {
   for (int i = 0; i + 1 < 10; i += 2) {
     dnf.AddClause(C({{vars[i], 1}, {vars[i + 1], 1}}));
   }
-  Rng rng1(3), rng2(3);
-  auto loose = ApproxConfidence(dnf, wt, 0.2, 0.05, &rng1);
-  auto tight = ApproxConfidence(dnf, wt, 0.05, 0.05, &rng2);
+  auto loose = KarpLubyConfidenceSeeded(CompiledDnf(dnf, wt), 0.2, 0.05, 3);
+  auto tight = KarpLubyConfidenceSeeded(CompiledDnf(dnf, wt), 0.05, 0.05, 3);
   ASSERT_TRUE(loose.ok());
   ASSERT_TRUE(tight.ok());
   EXPECT_GT(tight->samples, loose->samples * 4);
@@ -230,8 +235,8 @@ TEST(ApproxConfidenceTest, FailureRateRespectsDelta) {
   double truth = *ExactConfidence(dnf, wt);
   int misses = 0;
   for (uint64_t seed = 0; seed < 30; ++seed) {
-    Rng rng(seed * 101 + 1);
-    auto r = ApproxConfidence(dnf, wt, 0.1, 0.05, &rng);
+    auto r = KarpLubyConfidenceSeeded(CompiledDnf(dnf, wt), 0.1, 0.05,
+                                      seed * 101 + 1);
     ASSERT_TRUE(r.ok());
     if (std::fabs(r->estimate - truth) > truth * 0.1) ++misses;
   }

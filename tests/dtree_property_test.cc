@@ -15,8 +15,8 @@
 //   - the compiled-evidence cache on ConstraintStore stays consistent
 //     through ASSERT / CONDITION ON / CLEAR EVIDENCE / pruning;
 //   - packed Karp-Luby trials consume the same RNG draws and return the
-//     same outcomes as the reference kernel, so seeded aconf estimates are
-//     identical under MonteCarloOptions::use_reference_kernel;
+//     same outcomes as the plain trial loop (tests/karp_luby_oracle.h), so
+//     seeded sampler estimates equal the oracle's;
 //   - the conf() budget fallback produces deterministic, engine- and
 //     thread-independent estimates.
 #include <gtest/gtest.h>
@@ -36,6 +36,7 @@
 #include "src/lineage/dtree.h"
 #include "src/lineage/dtree_cache.h"
 #include "src/prob/world_enum.h"
+#include "tests/karp_luby_oracle.h"
 
 namespace maybms {
 namespace {
@@ -758,11 +759,14 @@ TEST(DTreePropertyTest, PackedKarpLubyKernelMatchesReferenceTrialForTrial) {
     if (iter % 2 == 1 && num_query > 1) --num_query;
     KarpLubyEstimator est(CompiledDnf(inst.dnf, inst.wt), num_query);
     if (est.Trivial()) continue;
+    ReferenceKarpLuby reference(CompiledDnf(inst.dnf, inst.wt), num_query);
+    ASSERT_EQ(est.TotalWeight(), reference.TotalWeight());
     Rng packed_rng(iter), reference_rng(iter);
-    KarpLubyScratch packed_scratch, reference_scratch;
+    KarpLubyScratch packed_scratch;
+    std::vector<int64_t> reference_world;
     for (int t = 0; t < 500; ++t) {
       bool a = est.Trial(&packed_rng, &packed_scratch);
-      bool b = est.TrialReference(&reference_rng, &reference_scratch);
+      bool b = reference.Trial(&reference_rng, &reference_world);
       ASSERT_EQ(a, b) << "trial " << t;
       // Identical RNG consumption, not just identical outcomes.
       ASSERT_EQ(packed_rng.Next(), reference_rng.Next()) << "trial " << t;
@@ -770,34 +774,39 @@ TEST(DTreePropertyTest, PackedKarpLubyKernelMatchesReferenceTrialForTrial) {
   }
 }
 
+// The sampler layer (no exact attempt) equals DKLR AA over the oracle's
+// trial stream bit for bit, serially and on pools of 2 and 8 threads.
 TEST(DTreePropertyTest, SeededAconfIdenticalUnderReferenceKernelAndThreads) {
   Rng rng(808);
   ThreadPool pool2(2), pool8(8);
+  int compared = 0;
   for (int iter = 0; iter < 8; ++iter) {
     SCOPED_TRACE(StringFormat("iteration %d", iter));
     Instance inst = RandomInstance(&rng, 10, 12);
     if (inst.dnf.NumClauses() < 2) continue;
-    MonteCarloOptions packed, reference;
-    reference.use_reference_kernel = true;
+    if (KarpLubyEstimator(inst.dnf, inst.wt).Trivial()) continue;
     uint64_t seed = 1000 + iter;
-    auto a = ApproxConfidenceSeeded(CompiledDnf(inst.dnf, inst.wt), 0.2, 0.2,
-                                    seed, packed);
-    auto b = ApproxConfidenceSeeded(CompiledDnf(inst.dnf, inst.wt), 0.2, 0.2,
-                                    seed, reference);
+    auto a = KarpLubyConfidenceSeeded(CompiledDnf(inst.dnf, inst.wt), 0.2, 0.2,
+                                      seed);
+    ReferenceKarpLuby reference(CompiledDnf(inst.dnf, inst.wt));
+    auto b = OptimalEstimateSeeded(reference.Factory(), 0.2, 0.2, seed);
     if (!a.ok()) {
       EXPECT_FALSE(b.ok());
       continue;
     }
     ASSERT_TRUE(b.ok());
-    EXPECT_EQ(a->estimate, b->estimate);
+    EXPECT_EQ(a->estimate, std::min(1.0, b->estimate * reference.TotalWeight()));
     EXPECT_EQ(a->samples, b->samples);
+    EXPECT_GT(a->samples, 0u);
+    ++compared;
     for (ThreadPool* pool : {&pool2, &pool8}) {
-      auto c = ApproxConfidenceSeeded(CompiledDnf(inst.dnf, inst.wt), 0.2, 0.2,
-                                      seed, packed, pool);
+      auto c = KarpLubyConfidenceSeeded(CompiledDnf(inst.dnf, inst.wt), 0.2,
+                                        0.2, seed, {}, pool);
       ASSERT_TRUE(c.ok());
       EXPECT_EQ(a->estimate, c->estimate);
     }
   }
+  EXPECT_GT(compared, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -832,7 +841,7 @@ TEST(DTreePropertyTest, ConfFallbackIsDeterministicAcrossEnginesAndThreads) {
     for (const Row& row : r->rows()) got.push_back(row.values[1].AsDouble());
     ASSERT_EQ(got.size(), 2u);
     // Fallback estimates are (ε,δ)-close to truth and identical across
-    // engines and thread counts (content-seeded, session RNG untouched).
+    // engines and thread counts (content-seeded).
     if (reference.empty()) {
       reference = got;
     } else {

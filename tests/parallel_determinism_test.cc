@@ -12,12 +12,11 @@
 // (base seed, phase, batch index). The DKLR stopping rule folds whole
 // batches in index order, so the sampled trial sequence — and therefore
 // the estimate — is bit-identical no matter how many threads compute the
-// batches, or whether a pool is used at all. Inside the engine,
-// num_threads >= 2 switches aconf() to this path with each group's base
-// seed derived from its lineage content (LineageSeed — no session-RNG
-// draw), so repeated statements over unchanged lineage reproduce their
-// estimates; num_threads == 1 keeps the legacy sequential stream
-// bit-for-bit.
+// batches, or whether a pool is used at all. Inside the engine, every
+// aconf() group that its bounded exact attempt cannot answer samples on
+// this path, with the base seed derived from its lineage content
+// (LineageSeed), so repeated statements over unchanged lineage reproduce
+// their estimates at every thread count, 1 included.
 //
 // conf() (the exact solver) is deterministic by construction: root
 // components solve independently and fold in component order, so parallel
@@ -103,8 +102,8 @@ TEST(ParallelDeterminismTest, SeededAconfBitEqualAtAnyThreadCount) {
   ThreadPool pool2(2), pool3(3), pool8(8);
   Instance inst = RandomDnf(24, 40, 3, 99);
   auto run = [&](ThreadPool* pool) {
-    auto r = ApproxConfidenceSeeded(CompiledDnf(inst.dnf, inst.wt), 0.1, 0.1,
-                                    /*base_seed=*/123456, {}, pool);
+    auto r = KarpLubyConfidenceSeeded(CompiledDnf(inst.dnf, inst.wt), 0.1,
+                                      0.1, /*base_seed=*/123456, {}, pool);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
     return *r;
   };
@@ -118,8 +117,8 @@ TEST(ParallelDeterminismTest, SeededAconfBitEqualAtAnyThreadCount) {
   // gives a different (still valid) sample.
   MonteCarloResult again = run(&pool2);
   EXPECT_EQ(serial.estimate, again.estimate);
-  auto other = ApproxConfidenceSeeded(CompiledDnf(inst.dnf, inst.wt), 0.1, 0.1,
-                                      /*base_seed=*/654321, {}, &pool2);
+  auto other = KarpLubyConfidenceSeeded(CompiledDnf(inst.dnf, inst.wt), 0.1,
+                                        0.1, /*base_seed=*/654321, {}, &pool2);
   ASSERT_TRUE(other.ok());
   double truth = *ExactConfidence(inst.dnf, inst.wt);
   EXPECT_NEAR(serial.estimate, truth, 0.1 * truth + 1e-9);
@@ -134,10 +133,10 @@ TEST(ParallelDeterminismTest, SeededAconfInvariantToBatchingKnobsOnlyViaSeed) {
   MonteCarloOptions small_batches;
   small_batches.sample_batch_size = 64;
   small_batches.batches_per_wave = 3;
-  auto serial = ApproxConfidenceSeeded(CompiledDnf(inst.dnf, inst.wt), 0.15, 0.1,
-                                       42, small_batches, nullptr);
-  auto parallel = ApproxConfidenceSeeded(CompiledDnf(inst.dnf, inst.wt), 0.15,
-                                         0.1, 42, small_batches, &pool);
+  auto serial = KarpLubyConfidenceSeeded(CompiledDnf(inst.dnf, inst.wt), 0.15,
+                                         0.1, 42, small_batches, nullptr);
+  auto parallel = KarpLubyConfidenceSeeded(CompiledDnf(inst.dnf, inst.wt),
+                                           0.15, 0.1, 42, small_batches, &pool);
   ASSERT_TRUE(serial.ok());
   ASSERT_TRUE(parallel.ok());
   EXPECT_EQ(serial->estimate, parallel->estimate);
@@ -210,8 +209,8 @@ TEST(ParallelDeterminismTest, EngineAconfBitEqualAcrossParallelThreadCounts) {
   for (size_t i = 0; i < reference->NumRows(); ++i) {
     EXPECT_EQ(reference->At(i, 1).AsDouble(), again->At(i, 1).AsDouble());
   }
-  // The serial legacy stream (num_threads=1) is a different valid sample;
-  // (ε,δ) bounds how far it can sit from the substream estimate.
+  // A serial run (num_threads=1) answers the same way; (ε,δ) bounds how
+  // far either answer can sit from the truth.
   Database serial_db = MakeWorkloadDb(1);
   auto serial = serial_db.Query(sql);
   ASSERT_TRUE(serial.ok());

@@ -311,10 +311,6 @@ TEST(StreamingIngestCacheTest, EstimateKeyCoversSeedEpsilonDeltaAndKnobs) {
   MonteCarloOptions batched = mopts;
   batched.sample_batch_size = 64;
   EXPECT_FALSE(base == BuildEstimateKey(compiled, 0, 42, 0.1, 0.1, ~0ull, batched));
-  MonteCarloOptions reference = mopts;
-  reference.use_reference_kernel = true;
-  EXPECT_FALSE(base ==
-               BuildEstimateKey(compiled, 0, 42, 0.1, 0.1, ~0ull, reference));
   // batches_per_wave is a pure scheduling knob (montecarlo.h pins that it
   // never changes the estimate): deliberately NOT part of the key.
   MonteCarloOptions waves = mopts;
