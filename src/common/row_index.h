@@ -4,6 +4,7 @@
 // storage and re-check equality on hash matches.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 

@@ -3,6 +3,7 @@
 #include "src/exec/conf_fallback.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <deque>
 #include <limits>
@@ -13,6 +14,7 @@
 #include "src/common/thread_pool.h"
 #include "src/cond/posterior.h"
 #include "src/conf/karp_luby.h"
+#include "src/exec/key_table.h"
 #include "src/exec/vector_expression.h"
 #include "src/lineage/compiled_dnf.h"
 #include "src/obs/metrics.h"
@@ -464,11 +466,52 @@ class ParallelProjectOp final : public MorselMapOp {
 // condition merge and an optional residual predicate.
 // ---------------------------------------------------------------------------
 
+/// Evaluates key expressions over a batch.
+Result<KeyColumns> EvalKeys(const std::vector<BoundExprPtr>& exprs, const Batch& b) {
+  KeyColumns keys;
+  keys.reserve(exprs.size());
+  for (const BoundExprPtr& e : exprs) {
+    MAYBMS_ASSIGN_OR_RETURN(ColumnVectorPtr col, EvalVector(*e, b));
+    keys.push_back(std::move(col));
+  }
+  return keys;
+}
+
+/// Appends the columns of `src` at sel[0..n) to out's columns from `first`
+/// on (selection-vector gather; the caller owns conditions and num_rows).
+void AppendColumns(const Batch& src, const uint32_t* sel, size_t n, size_t first,
+                   Batch* out) {
+  for (size_t c = 0; c < src.columns.size(); ++c) {
+    out->columns[first + c]->AppendSelected(*src.columns[c], sel, n);
+  }
+}
+
+/// Probe rows the key table's range filter dropped: shown on the keyed
+/// operator's EXPLAIN ANALYZE line and counted in the registry.
+void ReportRangeSkipped(ExecContext* ctx, TraceNode* node, uint64_t n) {
+  if (n == 0) return;
+  if (ctx->metrics != nullptr) ctx->metrics->Add(Counter::kJoinRangeSkippedRows, n);
+  if (node != nullptr) node->range_skipped += static_cast<int64_t>(n);
+}
+
+/// Marks `node` as a keyed operator's, so EXPLAIN ANALYZE shows its
+/// range_skipped count even when it is zero.
+TraceNode* KeyedTraceNode(ExecContext* ctx) {
+  TraceNode* node = ctx->trace_parent;
+  if (node != nullptr) node->range_skipped = 0;
+  return node;
+}
+
 class JoinOp : public BatchOperator {
  public:
+  // trace_node_ is captured at build time (see MorselMapOp).
   JoinOp(BatchOperatorPtr left, BatchOperatorPtr right, const JoinNode& node,
          ExecContext* ctx)
-      : left_(std::move(left)), right_(std::move(right)), node_(node), ctx_(ctx) {}
+      : left_(std::move(left)),
+        right_(std::move(right)),
+        node_(node),
+        ctx_(ctx),
+        trace_node_(node.left_keys.empty() ? nullptr : KeyedTraceNode(ctx)) {}
 
   Result<bool> Next(Batch* out) override {
     if (!built_) {
@@ -499,196 +542,107 @@ class JoinOp : public BatchOperator {
   }
 
  private:
-  // Hash partitioning (parallel build): partition by the hash's HIGH bits
-  // — HashRowIndex buckets by the low bits, so the two stay independent.
-  // The partition count is fixed; a row's partition never depends on the
-  // thread count.
-  static constexpr size_t kPartitionBits = 6;
-  static constexpr size_t kPartitions = size_t{1} << kPartitionBits;
-  static size_t PartitionOf(uint64_t h) { return h >> (64 - kPartitionBits); }
+  // Joined (left row, global right row) pairs whose conditions merged
+  // consistently; their merged conditions are already in the output. At
+  // most kEmitChunk pairs wait for their values, so a cross product's
+  // pair lists stay small.
+  static constexpr size_t kEmitChunk = 4096;
+  struct Pairs {
+    std::vector<uint32_t> left;
+    std::vector<uint32_t> right;
+  };
 
   Status Build() {
-    // EmitPair reads conditions from the per-batch columns; skip the
+    // EmitPairs reads conditions from the per-batch columns; skip the
     // concatenated copy.
     MAYBMS_ASSIGN_OR_RETURN(right_data_,
                             DrainAll(right_.get(), /*concat_conds=*/false));
     if (node_.left_keys.empty()) return Status::OK();  // cross product
-    if (ctx_->pool != nullptr) return BuildParallel();
-    right_key_cols_.reserve(right_data_.batches.size());
-    for (const Batch& b : right_data_.batches) {
-      std::vector<ColumnVectorPtr> keys;
-      keys.reserve(node_.right_keys.size());
-      for (const BoundExprPtr& e : node_.right_keys) {
-        MAYBMS_ASSIGN_OR_RETURN(ColumnVectorPtr col, EvalVector(*e, b));
-        keys.push_back(std::move(col));
-      }
-      right_key_cols_.push_back(std::move(keys));
-    }
-    index_ = HashRowIndex(right_data_.num_rows);
-    std::vector<Value> key(node_.right_keys.size());
-    for (size_t row = 0; row < right_data_.num_rows; ++row) {
-      uint32_t b = right_data_.row_batch[row];
-      uint32_t i = right_data_.row_idx[row];
-      bool has_null = false;
-      for (size_t k = 0; k < key.size(); ++k) {
-        key[k] = right_key_cols_[b][k]->GetValue(i);
-        has_null |= key[k].is_null();
-      }
-      if (has_null) continue;  // SQL equality: null joins nothing
-      index_.Insert(HashValueSpan(key.data(), key.size()),
-                    static_cast<uint32_t>(row));
-    }
-    return Status::OK();
-  }
-
-  // Partitioned parallel build: key columns evaluate per batch on the
-  // pool, rows radix-partition by hash, and each partition's index builds
-  // independently — inserting in global row order, so every partition
-  // reproduces the serial index's per-key candidate order.
-  Status BuildParallel() {
-    ThreadPool* pool = ctx_->pool;
-    size_t num_batches = right_data_.batches.size();
-    right_key_cols_.assign(num_batches, {});
-    MAYBMS_RETURN_NOT_OK(pool->ParallelForStatus(0, num_batches, [&](size_t i) {
-      std::vector<ColumnVectorPtr> keys;
-      keys.reserve(node_.right_keys.size());
-      for (const BoundExprPtr& e : node_.right_keys) {
-        MAYBMS_ASSIGN_OR_RETURN(ColumnVectorPtr col,
-                                EvalVector(*e, right_data_.batches[i]));
-        keys.push_back(std::move(col));
-      }
-      right_key_cols_[i] = std::move(keys);
+    // Key columns evaluate per batch (on the pool when there is one).
+    const std::vector<Batch>& batches = right_data_.batches;
+    std::vector<KeyColumns> keys(batches.size());
+    auto eval = [&](size_t i) -> Status {
+      MAYBMS_ASSIGN_OR_RETURN(keys[i], EvalKeys(node_.right_keys, batches[i]));
       return Status::OK();
-    }));
-
-    // Hash every right row (null keys never join).
-    size_t num_rows = right_data_.num_rows;
-    right_hash_.assign(num_rows, 0);
-    right_skip_.assign(num_rows, 0);
-    size_t morsel = std::min(MorselRows(ctx_), std::max<size_t>(num_rows, 1));
-    pool->ParallelFor(0, num_rows, morsel, [&](size_t begin, size_t end) {
-      std::vector<Value> key(node_.right_keys.size());
-      for (size_t row = begin; row < end; ++row) {
-        uint32_t b = right_data_.row_batch[row];
-        uint32_t i = right_data_.row_idx[row];
-        bool has_null = false;
-        for (size_t k = 0; k < key.size(); ++k) {
-          key[k] = right_key_cols_[b][k]->GetValue(i);
-          has_null |= key[k].is_null();
-        }
-        if (has_null) {
-          right_skip_[row] = 1;
-          continue;
-        }
-        right_hash_[row] = HashValueSpan(key.data(), key.size());
-      }
-    });
-
-    // Radix partition: per-morsel buckets (parallel), then one index per
-    // partition built from the morsel buckets in morsel order (parallel
-    // across partitions — the "partitioned parallel hash-join build").
-    size_t num_morsels = (num_rows + morsel - 1) / morsel;
-    std::vector<std::vector<std::vector<uint32_t>>> buckets(num_morsels);
-    pool->ParallelFor(0, num_morsels, 1, [&](size_t begin, size_t end) {
-      for (size_t m = begin; m < end; ++m) {
-        std::vector<std::vector<uint32_t>>& local = buckets[m];
-        local.resize(kPartitions);
-        size_t row_begin = m * morsel;
-        size_t row_end = std::min(num_rows, row_begin + morsel);
-        for (size_t row = row_begin; row < row_end; ++row) {
-          if (right_skip_[row]) continue;
-          local[PartitionOf(right_hash_[row])].push_back(
-              static_cast<uint32_t>(row));
-        }
-      }
-    });
-    part_index_.assign(kPartitions, HashRowIndex());
-    pool->ParallelFor(0, kPartitions, 1, [&](size_t begin, size_t end) {
-      for (size_t p = begin; p < end; ++p) {
-        size_t total = 0;
-        for (const auto& local : buckets) total += local[p].size();
-        HashRowIndex index(total);
-        for (const auto& local : buckets) {
-          for (uint32_t row : local[p]) index.Insert(right_hash_[row], row);
-        }
-        part_index_[p] = std::move(index);
-      }
-    });
-    partitioned_ = true;
+    };
+    if (ctx_->pool != nullptr) {
+      MAYBMS_RETURN_NOT_OK(ctx_->pool->ParallelForStatus(0, batches.size(), eval));
+    } else {
+      for (size_t i = 0; i < batches.size(); ++i) MAYBMS_RETURN_NOT_OK(eval(i));
+    }
+    keys_ = KeyTable(node_.right_keys.size(), std::move(keys));
+    keys_.BuildAllRows(ctx_->pool);
     return Status::OK();
   }
 
-  // Appends left row `li` of `lb` joined with global right row `row`,
-  // unless their conditions are inconsistent.
-  void EmitPair(const Batch& lb, size_t li, size_t row, Batch* out) {
-    uint32_t b = right_data_.row_batch[row];
-    uint32_t ri = right_data_.row_idx[row];
-    const Batch& rb = right_data_.batches[b];
-    // Merge the condition columns first; inconsistent pairs drop out
-    // [ICDE'08] before any values are copied.
+  // Merges the conditions of left row `li` of `lb` and global right row
+  // `row` into *out; inconsistent pairs drop out [ICDE'08] before any value
+  // is copied.
+  void MergePair(const Batch& lb, size_t li, uint32_t row, Batch* out,
+                 Pairs* pairs) const {
+    const Batch& rb = right_data_.batches[right_data_.row_batch[row]];
     if (!out->conditions.AppendMerged(lb.conditions.Span(li),
-                                      rb.conditions.Span(ri))) {
+                                      rb.conditions.Span(right_data_.row_idx[row]))) {
       return;
     }
-    size_t lcols = lb.columns.size();
-    for (size_t c = 0; c < lcols; ++c) {
-      out->columns[c]->Append(lb.columns[c]->GetValue(li));
-    }
-    for (size_t c = 0; c < rb.columns.size(); ++c) {
-      out->columns[lcols + c]->Append(rb.columns[c]->GetValue(ri));
-    }
-    ++out->num_rows;
+    pairs->left.push_back(static_cast<uint32_t>(li));
+    pairs->right.push_back(row);
+    if (pairs->left.size() == kEmitChunk) EmitPairs(lb, pairs, out);
   }
 
-  // Probes left rows [begin, end): thread-safe (only touches *out and
-  // read-only build state). Candidates sort into build-insertion (= right
-  // input) order, like the row engine's per-key bucket vectors — and like
-  // the serial single index, since every partition inserts in global row
-  // order.
-  Result<Batch> ProbeRange(const Batch& lb,
-                           const std::vector<ColumnVectorPtr>& left_keys,
-                           size_t begin, size_t end) {
-    Batch out = AllocateOutput(node_.output_schema);
-    std::vector<Value> key(left_keys.size());
-    std::vector<uint32_t> candidates;
-    for (size_t li = begin; li < end; ++li) {
-      bool has_null = false;
-      for (size_t k = 0; k < left_keys.size(); ++k) {
-        key[k] = left_keys[k]->GetValue(li);
-        has_null |= key[k].is_null();
+  // Gathers the values of the merged pairs column-wise: the left columns
+  // from one selection vector, the right columns run by run of pairs from
+  // the same right batch; then empties the pair lists.
+  void EmitPairs(const Batch& lb, Pairs* pairs, Batch* out) const {
+    const size_t n = pairs->left.size();
+    AppendColumns(lb, pairs->left.data(), n, 0, out);
+    std::vector<uint32_t> idx;
+    for (size_t s = 0; s < n;) {
+      const uint32_t b = right_data_.row_batch[pairs->right[s]];
+      idx.clear();
+      size_t e = s;
+      for (; e < n && right_data_.row_batch[pairs->right[e]] == b; ++e) {
+        idx.push_back(right_data_.row_idx[pairs->right[e]]);
       }
-      if (has_null) continue;
-      uint64_t h = HashValueSpan(key.data(), key.size());
-      const HashRowIndex& index = partitioned_ ? part_index_[PartitionOf(h)] : index_;
-      candidates.clear();
-      index.ForEach(h, [&](uint32_t row) {
-        candidates.push_back(row);
-        return true;
-      });
-      std::sort(candidates.begin(), candidates.end());
-      for (uint32_t row : candidates) {
-        uint32_t b = right_data_.row_batch[row];
-        uint32_t ri = right_data_.row_idx[row];
-        bool match = true;
-        for (size_t k = 0; k < key.size(); ++k) {
-          if (!key[k].Equals(right_key_cols_[b][k]->GetValue(ri))) {
-            match = false;
-            break;
-          }
-        }
-        if (match) EmitPair(lb, li, row, &out);
-      }
+      AppendColumns(right_data_.batches[b], idx.data(), idx.size(),
+                    lb.columns.size(), out);
+      s = e;
     }
+    out->num_rows += n;
+    pairs->left.clear();
+    pairs->right.clear();
+  }
+
+  // Probes left rows [begin, end): thread-safe (only touches *out,
+  // *range_skipped and read-only build state). Matches come in build-input
+  // (= right input) order, like the row engine's per-key bucket vectors.
+  Result<Batch> ProbeRange(const Batch& lb, const KeyColumns& left_keys,
+                           size_t begin, size_t end,
+                           std::atomic<uint64_t>* range_skipped) const {
+    Batch out = AllocateOutput(node_.output_schema);
+    ProbeRows probe;
+    keys_.Prepare(left_keys, begin, end, &probe);
+    range_skipped->fetch_add(probe.range_skipped, std::memory_order_relaxed);
+    Pairs pairs;
+    std::vector<uint32_t> matches;
+    for (size_t k = 0; k < probe.rows.size(); ++k) {
+      const uint32_t li = probe.rows[k];
+      keys_.Matches(left_keys, li, probe.hashes[k], &matches);
+      for (uint32_t row : matches) MergePair(lb, li, row, &out, &pairs);
+    }
+    EmitPairs(lb, &pairs, &out);
     return out;
   }
 
-  Batch CrossRange(const Batch& lb, size_t begin, size_t end) {
+  Batch CrossRange(const Batch& lb, size_t begin, size_t end) const {
     Batch out = AllocateOutput(node_.output_schema);
+    Pairs pairs;
     for (size_t li = begin; li < end; ++li) {
       for (size_t row = 0; row < right_data_.num_rows; ++row) {
-        EmitPair(lb, li, row, &out);
+        MergePair(lb, li, static_cast<uint32_t>(row), &out, &pairs);
       }
     }
+    EmitPairs(lb, &pairs, &out);
     return out;
   }
 
@@ -734,182 +688,95 @@ class JoinOp : public BatchOperator {
         return Result<Batch>(CrossRange(lb, begin, end));
       });
     }
-    std::vector<ColumnVectorPtr> left_keys;
-    left_keys.reserve(node_.left_keys.size());
-    for (const BoundExprPtr& e : node_.left_keys) {
-      MAYBMS_ASSIGN_OR_RETURN(ColumnVectorPtr col, EvalVector(*e, lb));
-      left_keys.push_back(std::move(col));
-    }
+    MAYBMS_ASSIGN_OR_RETURN(KeyColumns left_keys, EvalKeys(node_.left_keys, lb));
+    std::atomic<uint64_t> range_skipped{0};
     if (ctx_->pool == nullptr) {
-      MAYBMS_ASSIGN_OR_RETURN(Batch joined, ProbeRange(lb, left_keys, 0, lb.num_rows));
+      MAYBMS_ASSIGN_OR_RETURN(
+          Batch joined, ProbeRange(lb, left_keys, 0, lb.num_rows, &range_skipped));
       out.push_back(std::move(joined));
-      return out;
+    } else {
+      MAYBMS_ASSIGN_OR_RETURN(
+          out, ParallelOverLeftRows(lb, [&](size_t begin, size_t end) {
+            return ProbeRange(lb, left_keys, begin, end, &range_skipped);
+          }));
     }
-    return ParallelOverLeftRows(lb, [&](size_t begin, size_t end) {
-      return ProbeRange(lb, left_keys, begin, end);
-    });
+    ReportRangeSkipped(ctx_, trace_node_, range_skipped.load());
+    return out;
   }
 
   BatchOperatorPtr left_;
   BatchOperatorPtr right_;
   const JoinNode& node_;
   ExecContext* ctx_;
+  TraceNode* trace_node_;
   bool built_ = false;
   std::deque<Batch> pending_;  // parallel probe outputs awaiting hand-out
   Drained right_data_;
-  std::vector<std::vector<ColumnVectorPtr>> right_key_cols_;  // per batch
-  HashRowIndex index_;                     // serial build
-  bool partitioned_ = false;               // parallel build used part_index_
-  std::vector<HashRowIndex> part_index_;   // kPartitions indexes
-  std::vector<uint64_t> right_hash_;       // per global right row
-  std::vector<uint8_t> right_skip_;        // 1 = null key, never joins
+  KeyTable keys_;  // over right_keys, one per right batch
 };
 
 // ---------------------------------------------------------------------------
-// SemiJoinIn: IN / NOT IN (subquery) with condition merging.
+// Semijoins: IN / NOT IN (subquery) and the optimizer's reducer share one
+// build — key tuple -> the conditions under which it appears on the build
+// side; identical conditions deduplicate, a true condition subsumes all.
 // ---------------------------------------------------------------------------
 
-class SemiJoinInOp : public BatchOperator {
- public:
-  SemiJoinInOp(BatchOperatorPtr left, BatchOperatorPtr right,
-               const SemiJoinInNode& node)
-      : left_(std::move(left)), right_(std::move(right)), node_(node) {}
-
-  Result<bool> Next(Batch* out) override {
-    if (!built_) {
-      MAYBMS_RETURN_NOT_OK(Build());
-      built_ = true;
-    }
-    Batch in;
-    while (true) {
-      MAYBMS_ASSIGN_OR_RETURN(bool more, left_->Next(&in));
-      if (!more) return false;
-      MAYBMS_ASSIGN_OR_RETURN(Batch result, ProbeLeftBatch(in));
-      if (result.num_rows == 0) {
-        in = Batch();
-        continue;
-      }
-      *out = std::move(result);
-      return true;
-    }
-  }
-
- private:
-  Status Build() {
-    // Key value -> the conditions under which it appears on the right;
-    // identical conditions deduplicate, a true condition subsumes all.
-    MAYBMS_ASSIGN_OR_RETURN(Drained right, DrainAll(right_.get()));
-    for (size_t row = 0; row < right.num_rows; ++row) {
-      Value key = right.GetValue(0, row);
-      if (key.is_null()) continue;
-      uint64_t h = HashValueSpan(&key, 1);
-      uint32_t entry = HashRowIndex::kNoRow;
-      index_.ForEach(h, [&](uint32_t e) {
-        if (keys_[e].Equals(key)) {
-          entry = e;
-          return false;
-        }
-        return true;
-      });
-      if (entry == HashRowIndex::kNoRow) {
-        entry = static_cast<uint32_t>(keys_.size());
-        keys_.push_back(std::move(key));
-        conds_.emplace_back();
-        index_.Insert(h, entry);
-      }
-      std::vector<Condition>& conds = conds_[entry];
-      if (!conds.empty() && conds.front().IsTrue()) continue;
-      Condition cond = right.conds.ToCondition(row);
-      if (cond.IsTrue()) {
-        conds.clear();
-        conds.push_back(Condition());
-        continue;
-      }
-      if (std::find(conds.begin(), conds.end(), cond) == conds.end()) {
-        conds.push_back(std::move(cond));
-      }
-    }
-    return Status::OK();
-  }
-
-  Result<Batch> ProbeLeftBatch(const Batch& lb) {
-    Batch out = AllocateOutput(node_.output_schema);
-    MAYBMS_ASSIGN_OR_RETURN(ColumnVectorPtr key_col,
-                            EvalVector(*node_.left_key, lb));
-    for (size_t li = 0; li < lb.num_rows; ++li) {
-      Value key = key_col->GetValue(li);
-      if (key.is_null()) continue;  // null never matches IN / NOT IN
-      uint32_t entry = HashRowIndex::kNoRow;
-      index_.ForEach(HashValueSpan(&key, 1), [&](uint32_t e) {
-        if (keys_[e].Equals(key)) {
-          entry = e;
-          return false;
-        }
-        return true;
-      });
-      if (node_.anti) {
-        // NOT IN: binder guarantees the right side is t-certain.
-        if (entry == HashRowIndex::kNoRow) AppendRow(lb, li, nullptr, &out);
-        continue;
-      }
-      if (entry == HashRowIndex::kNoRow) continue;
-      for (const Condition& cond : conds_[entry]) {
-        AppendRow(lb, li, &cond, &out);
-      }
-    }
-    return out;
-  }
-
-  // Appends left row li; when `cond` is given, merges it into the row's
-  // condition (skipping the row on inconsistency).
-  void AppendRow(const Batch& lb, size_t li, const Condition* cond, Batch* out) {
-    AtomSpan left_span = lb.conditions.Span(li);
-    if (cond == nullptr) {
-      out->conditions.AppendAtoms(left_span);
-    } else {
-      AtomSpan right_span{cond->atoms().data(), cond->atoms().size()};
-      if (!out->conditions.AppendMerged(left_span, right_span)) return;
-    }
-    for (size_t c = 0; c < lb.columns.size(); ++c) {
-      out->columns[c]->Append(lb.columns[c]->GetValue(li));
-    }
-    ++out->num_rows;
-  }
-
-  BatchOperatorPtr left_;
-  BatchOperatorPtr right_;
-  const SemiJoinInNode& node_;
-  bool built_ = false;
-  HashRowIndex index_;
-  std::vector<Value> keys_;
-  std::vector<std::vector<Condition>> conds_;
+struct KeyConditions {
+  KeyTable keys;
+  std::vector<std::vector<Condition>> conds;  // per key-table entry
 };
 
-// ---------------------------------------------------------------------------
-// SemiJoinReduce: optimizer-inserted annotated semijoin reducer (src/opt/).
-// Drains the key source (child 1), indexes its key tuples with the
-// conditions they appear under, then streams the source (child 0) through,
-// keeping exactly the rows some key tuple matches under a consistent
-// condition merge. Survivors keep their ORIGINAL values, conditions, and
-// relative order, so the later full hash join's output is unchanged.
-// ---------------------------------------------------------------------------
+/// Drains `child`, whose first `num_keys` columns are the key tuple.
+Result<KeyConditions> BuildKeyConditions(BatchOperator* child, size_t num_keys) {
+  MAYBMS_ASSIGN_OR_RETURN(Drained d, DrainAll(child));
+  std::vector<KeyColumns> cols;
+  cols.reserve(d.batches.size());
+  for (const Batch& b : d.batches) {
+    cols.emplace_back(b.columns.begin(), b.columns.begin() + num_keys);
+  }
+  KeyConditions out;
+  out.keys = KeyTable(num_keys, std::move(cols));
+  const std::vector<uint32_t> entry_of = out.keys.BuildDistinct();
+  out.conds.resize(out.keys.num_entries());
+  for (size_t row = 0; row < d.num_rows; ++row) {
+    if (entry_of[row] == KeyTable::kNoEntry) continue;  // null key
+    std::vector<Condition>& conds = out.conds[entry_of[row]];
+    if (!conds.empty() && conds.front().IsTrue()) continue;
+    Condition cond = d.conds.ToCondition(row);
+    if (cond.IsTrue()) {
+      conds.clear();
+      conds.push_back(Condition());
+      continue;
+    }
+    if (std::find(conds.begin(), conds.end(), cond) == conds.end()) {
+      conds.push_back(std::move(cond));
+    }
+  }
+  return out;
+}
 
-class SemiJoinReduceOp : public BatchOperator {
+/// Base of the two semijoins: builds the key conditions from child 1 on
+/// the first pull, then streams child 0 through Probe().
+class SemiJoinOp : public BatchOperator {
  public:
-  SemiJoinReduceOp(BatchOperatorPtr source, BatchOperatorPtr key_source,
-                   const SemiJoinReduceNode& node)
-      : source_(std::move(source)), keys_in_(std::move(key_source)), node_(node) {}
+  SemiJoinOp(BatchOperatorPtr source, BatchOperatorPtr key_source,
+             size_t num_keys, ExecContext* ctx)
+      : source_(std::move(source)),
+        key_source_(std::move(key_source)),
+        num_keys_(num_keys),
+        ctx_(ctx),
+        trace_node_(KeyedTraceNode(ctx)) {}
 
   Result<bool> Next(Batch* out) override {
     if (!built_) {
-      MAYBMS_RETURN_NOT_OK(Build());
+      MAYBMS_ASSIGN_OR_RETURN(build_, BuildKeyConditions(key_source_.get(), num_keys_));
       built_ = true;
     }
     Batch in;
     while (true) {
       MAYBMS_ASSIGN_OR_RETURN(bool more, source_->Next(&in));
       if (!more) return false;
-      MAYBMS_ASSIGN_OR_RETURN(Batch result, ReduceBatch(in));
+      MAYBMS_ASSIGN_OR_RETURN(Batch result, Probe(in));
       if (result.num_rows == 0) {
         in = Batch();
         continue;
@@ -919,57 +786,121 @@ class SemiJoinReduceOp : public BatchOperator {
     }
   }
 
+ protected:
+  virtual Result<Batch> Probe(const Batch& in) = 0;
+
+  /// Null check, range filter and hashing of one source batch's keys.
+  ProbeRows Prepare(const KeyColumns& keys, size_t num_rows) {
+    ProbeRows probe;
+    build_.keys.Prepare(keys, 0, num_rows, &probe);
+    ReportRangeSkipped(ctx_, trace_node_, probe.range_skipped);
+    return probe;
+  }
+
+  KeyConditions build_;
+
  private:
-  Status Build() {
-    // Key tuple -> the conditions under which it appears in the key source;
-    // identical conditions deduplicate, a true condition subsumes all (the
-    // SemiJoinIn idiom, generalized to multi-column keys).
-    MAYBMS_ASSIGN_OR_RETURN(Drained keys, DrainAll(keys_in_.get()));
-    const size_t nk = node_.keys.size();
-    std::vector<Value> key(nk);
-    for (size_t row = 0; row < keys.num_rows; ++row) {
-      bool has_null = false;
-      for (size_t k = 0; k < nk; ++k) {
-        key[k] = keys.GetValue(k, row);
-        has_null |= key[k].is_null();
+  BatchOperatorPtr source_;
+  BatchOperatorPtr key_source_;
+  size_t num_keys_;
+  ExecContext* ctx_;
+  TraceNode* trace_node_;
+  bool built_ = false;
+};
+
+class SemiJoinInOp final : public SemiJoinOp {
+ public:
+  SemiJoinInOp(BatchOperatorPtr left, BatchOperatorPtr right,
+               const SemiJoinInNode& node, ExecContext* ctx)
+      : SemiJoinOp(std::move(left), std::move(right), 1, ctx), node_(node) {}
+
+ protected:
+  Result<Batch> Probe(const Batch& lb) override {
+    Batch out = AllocateOutput(node_.output_schema);
+    MAYBMS_ASSIGN_OR_RETURN(ColumnVectorPtr key_col,
+                            EvalVector(*node_.left_key, lb));
+    const KeyColumns keys{key_col};
+    const ProbeRows probe = Prepare(keys, lb.num_rows);
+    std::vector<uint32_t> sel;
+    if (node_.anti) {
+      // NOT IN: binder guarantees the right side is t-certain. Every
+      // non-null key that is not found survives — range-skipped ones too.
+      size_t k = 0;
+      for (size_t li = 0; li < lb.num_rows; ++li) {
+        if (key_col->IsNull(li)) continue;  // null never matches NOT IN
+        if (k < probe.rows.size() && probe.rows[k] == li) {
+          const bool found = build_.keys.Find(keys, li, probe.hashes[k++]) !=
+                             KeyTable::kNoEntry;
+          if (found) continue;
+        }
+        out.conditions.AppendFrom(lb.conditions, li);
+        sel.push_back(static_cast<uint32_t>(li));
       }
-      if (has_null) continue;  // SQL equality: null joins nothing
-      uint64_t h = HashValueSpan(key.data(), nk);
-      uint32_t entry = FindEntry(h, key);
-      if (entry == HashRowIndex::kNoRow) {
-        entry = static_cast<uint32_t>(conds_.size());
-        for (size_t k = 0; k < nk; ++k) keys_.push_back(key[k]);
-        conds_.emplace_back();
-        index_.Insert(h, entry);
-      }
-      std::vector<Condition>& conds = conds_[entry];
-      if (!conds.empty() && conds.front().IsTrue()) continue;
-      Condition cond = keys.conds.ToCondition(row);
-      if (cond.IsTrue()) {
-        conds.clear();
-        conds.push_back(Condition());
-        continue;
-      }
-      if (std::find(conds.begin(), conds.end(), cond) == conds.end()) {
-        conds.push_back(std::move(cond));
+    } else {
+      for (size_t k = 0; k < probe.rows.size(); ++k) {
+        const uint32_t li = probe.rows[k];
+        const uint32_t entry = build_.keys.Find(keys, li, probe.hashes[k]);
+        if (entry == KeyTable::kNoEntry) continue;
+        for (const Condition& cond : build_.conds[entry]) {
+          AtomSpan right_span{cond.atoms().data(), cond.atoms().size()};
+          if (out.conditions.AppendMerged(lb.conditions.Span(li), right_span)) {
+            sel.push_back(li);
+          }
+        }
       }
     }
-    return Status::OK();
+    AppendColumns(lb, sel.data(), sel.size(), 0, &out);
+    out.num_rows = sel.size();
+    return out;
   }
 
-  uint32_t FindEntry(uint64_t h, const std::vector<Value>& key) const {
-    const size_t nk = key.size();
-    uint32_t entry = HashRowIndex::kNoRow;
-    index_.ForEach(h, [&](uint32_t e) {
-      for (size_t k = 0; k < nk; ++k) {
-        if (!keys_[e * nk + k].Equals(key[k])) return true;
+ private:
+  const SemiJoinInNode& node_;
+};
+
+// ---------------------------------------------------------------------------
+// SemiJoinReduce: optimizer-inserted annotated semijoin reducer (src/opt/).
+// Keeps exactly the source rows (child 0) some key tuple of the key source
+// (child 1) matches under a consistent condition merge. Survivors keep
+// their ORIGINAL values, conditions, and relative order, so the later full
+// hash join's output is unchanged.
+// ---------------------------------------------------------------------------
+
+class SemiJoinReduceOp final : public SemiJoinOp {
+ public:
+  SemiJoinReduceOp(BatchOperatorPtr source, BatchOperatorPtr key_source,
+                   const SemiJoinReduceNode& node, ExecContext* ctx)
+      : SemiJoinOp(std::move(source), std::move(key_source), node.keys.size(), ctx),
+        node_(node) {}
+
+ protected:
+  Result<Batch> Probe(const Batch& in) override {
+    Batch out = AllocateOutput(node_.output_schema);
+    MAYBMS_ASSIGN_OR_RETURN(KeyColumns keys, EvalKeys(node_.keys, in));
+    const ProbeRows probe = Prepare(keys, in.num_rows);
+    std::vector<uint32_t> sel;
+    for (size_t k = 0; k < probe.rows.size(); ++k) {
+      const uint32_t i = probe.rows[k];
+      const uint32_t entry = build_.keys.Find(keys, i, probe.hashes[k]);
+      if (entry == KeyTable::kNoEntry) continue;
+      const AtomSpan span = in.conditions.Span(i);
+      bool consistent = false;
+      for (const Condition& cond : build_.conds[entry]) {
+        if (MergeConsistent(span, cond)) {
+          consistent = true;
+          break;
+        }
       }
-      entry = e;
-      return false;
-    });
-    return entry;
+      if (!consistent) continue;
+      out.conditions.AppendAtoms(span);
+      sel.push_back(i);
+    }
+    AppendColumns(in, sel.data(), sel.size(), 0, &out);
+    out.num_rows = sel.size();
+    return out;
   }
 
+ private:
   /// Would merging the span with the condition be consistent? Both atom
   /// lists are sorted by variable with at most one atom per variable.
   static bool MergeConsistent(AtomSpan a, const Condition& cond) {
@@ -984,50 +915,7 @@ class SemiJoinReduceOp : public BatchOperator {
     return true;
   }
 
-  Result<Batch> ReduceBatch(const Batch& in) {
-    Batch out = AllocateOutput(node_.output_schema);
-    const size_t nk = node_.keys.size();
-    std::vector<ColumnVectorPtr> key_cols;
-    key_cols.reserve(nk);
-    for (const BoundExprPtr& e : node_.keys) {
-      MAYBMS_ASSIGN_OR_RETURN(ColumnVectorPtr col, EvalVector(*e, in));
-      key_cols.push_back(std::move(col));
-    }
-    std::vector<Value> key(nk);
-    for (size_t i = 0; i < in.num_rows; ++i) {
-      bool has_null = false;
-      for (size_t k = 0; k < nk; ++k) {
-        key[k] = key_cols[k]->GetValue(i);
-        has_null |= key[k].is_null();
-      }
-      if (has_null) continue;
-      uint32_t entry = FindEntry(HashValueSpan(key.data(), nk), key);
-      if (entry == HashRowIndex::kNoRow) continue;
-      AtomSpan span = in.conditions.Span(i);
-      bool consistent = false;
-      for (const Condition& cond : conds_[entry]) {
-        if (MergeConsistent(span, cond)) {
-          consistent = true;
-          break;
-        }
-      }
-      if (!consistent) continue;
-      out.conditions.AppendAtoms(span);
-      for (size_t c = 0; c < in.columns.size(); ++c) {
-        out.columns[c]->Append(in.columns[c]->GetValue(i));
-      }
-      ++out.num_rows;
-    }
-    return out;
-  }
-
-  BatchOperatorPtr source_;
-  BatchOperatorPtr keys_in_;
   const SemiJoinReduceNode& node_;
-  bool built_ = false;
-  HashRowIndex index_;
-  std::vector<Value> keys_;  // nk values per entry, flattened
-  std::vector<std::vector<Condition>> conds_;
 };
 
 // ---------------------------------------------------------------------------
@@ -1952,7 +1840,7 @@ Result<BatchOperatorPtr> BuildOperatorImpl(const PlanNode& plan, ExecContext* ct
       MAYBMS_ASSIGN_OR_RETURN(BatchOperatorPtr right,
                               BuildOperator(*node.children[1], ctx));
       return BatchOperatorPtr(
-          new SemiJoinInOp(std::move(left), std::move(right), node));
+          new SemiJoinInOp(std::move(left), std::move(right), node, ctx));
     }
     case PlanKind::kUnion: {
       const auto& node = static_cast<const UnionNode&>(plan);
@@ -1987,7 +1875,7 @@ Result<BatchOperatorPtr> BuildOperatorImpl(const PlanNode& plan, ExecContext* ct
       MAYBMS_ASSIGN_OR_RETURN(BatchOperatorPtr key_source,
                               BuildOperator(*node.children[1], ctx));
       return BatchOperatorPtr(
-          new SemiJoinReduceOp(std::move(source), std::move(key_source), node));
+          new SemiJoinReduceOp(std::move(source), std::move(key_source), node, ctx));
     }
   }
   return Status::Internal("unhandled plan kind");

@@ -27,6 +27,7 @@ constexpr const char* kScalarNames[] = {
     "exec.batch.batches",
     "exec.batch.rows",
     "exec.batch.morsels",
+    "exec.join.range_skipped_rows",
     "conf.exact.calls",
     "conf.exact.cache_hits",
     "conf.exact.component_hits",

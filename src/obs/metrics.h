@@ -57,6 +57,7 @@ enum class Counter : uint16_t {
   kBatchBatches,                 // batches pulled from plan roots
   kBatchRows,                    // rows pulled from plan roots
   kBatchMorsels,                 // morsels dispatched to the pool
+  kJoinRangeSkippedRows,         // join/semijoin probe rows range-filtered
 
   // Exact confidence (d-tree) phases.
   kConfExactCalls,

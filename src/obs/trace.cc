@@ -75,6 +75,11 @@ void RenderNode(const TraceNode& node, int depth, std::string* out) {
                   static_cast<unsigned long long>(node.morsels));
     out->append(buf);
   }
+  if (node.range_skipped >= 0) {
+    std::snprintf(buf, sizeof(buf), " range_skipped=%lld",
+                  static_cast<long long>(node.range_skipped));
+    out->append(buf);
+  }
   out->push_back(')');
   AppendConfSummary(node.conf, out);
   out->push_back('\n');

@@ -48,6 +48,9 @@ struct TraceNode {
   uint64_t rows_out = 0;
   uint64_t batches_out = 0;
   uint64_t morsels = 0;
+  /// Hash join / semijoin probe rows dropped by the key table's build-side
+  /// range filter; -1 for operators without a key table (not rendered).
+  int64_t range_skipped = -1;
   ConfPhaseSample conf;  // inclusive confidence-phase deltas
   std::vector<std::unique_ptr<TraceNode>> children;
 };

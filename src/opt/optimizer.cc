@@ -1113,6 +1113,14 @@ Status ApplyAccessPaths(PlanNodePtr* node, StatsCache* stats,
   index_scan->hi = b.hi;
   index_scan->est_rows = best_rows;
   chain.back()->children[0] = std::move(index_scan);
+  // The chain's estimates were taken against the whole table; no filter
+  // keeps more rows than its (now index-narrowed) input.
+  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+    const double child_est = (*it)->children[0]->est_rows;
+    if ((*it)->est_rows >= 0 && child_est >= 0) {
+      (*it)->est_rows = std::min((*it)->est_rows, child_est);
+    }
+  }
   ++counters->index_scans;
   return Status::OK();
 }

@@ -85,16 +85,23 @@ bool SendAll(int fd, std::string_view data) {
   return true;
 }
 
-/// Reads one '\n'-terminated line into *line (without the newline),
-/// buffering leftovers in *buffer. False on EOF/error with nothing read.
-bool RecvLine(int fd, std::string* buffer, std::string* line) {
+/// Reads one '\n'-terminated line into *line (without the newline). The
+/// unread bytes are (*buffer)[*pos, end): a line is taken by moving *pos
+/// past it, and the consumed prefix is dropped once per recv, so reading a
+/// reply of many lines costs O(bytes) instead of O(lines x buffer). False on
+/// EOF/error with nothing read.
+bool RecvLine(int fd, std::string* buffer, size_t* pos, std::string* line) {
+  size_t scan = *pos;  // bytes before `scan` hold no newline
   for (;;) {
-    size_t nl = buffer->find('\n');
+    size_t nl = buffer->find('\n', scan);
     if (nl != std::string::npos) {
-      line->assign(*buffer, 0, nl);
-      buffer->erase(0, nl + 1);
+      line->assign(*buffer, *pos, nl - *pos);
+      *pos = nl + 1;
       return true;
     }
+    buffer->erase(0, *pos);
+    *pos = 0;
+    scan = buffer->size();
     char chunk[4096];
     ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
     if (n < 0 && errno == EINTR) continue;
@@ -237,7 +244,8 @@ void Server::Serve(int fd) {
   MetricsRegistry& metrics = manager_->metrics();
   metrics.Add(Counter::kServerConnections);
   std::string buffer, line;
-  while (RecvLine(fd, &buffer, &line)) {
+  size_t pos = 0;
+  while (RecvLine(fd, &buffer, &pos, &line)) {
     metrics.Add(Counter::kServerRequests);
     metrics.Add(Counter::kServerBytesIn, line.size() + 1);
     std::string_view req = Trim(line);
@@ -338,6 +346,7 @@ void Client::Close() {
     fd_ = -1;
   }
   buffer_.clear();
+  buffer_pos_ = 0;
 }
 
 Status Client::Connect(const std::string& socket_path) {
@@ -379,7 +388,7 @@ Result<ServerReply> Client::Request(std::string_view request) {
   ServerReply reply;
   std::string resp;
   for (;;) {
-    if (!RecvLine(fd_, &buffer_, &resp)) {
+    if (!RecvLine(fd_, &buffer_, &buffer_pos_, &resp)) {
       Close();
       return Status::IoError("server connection lost while receiving");
     }

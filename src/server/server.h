@@ -144,7 +144,8 @@ class Client {
 
  private:
   int fd_ = -1;
-  std::string buffer_;  // bytes received past the last parsed line
+  std::string buffer_;     // received bytes; unparsed from buffer_pos_ on
+  size_t buffer_pos_ = 0;
 };
 
 }  // namespace maybms

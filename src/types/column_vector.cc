@@ -157,6 +157,40 @@ Value ColumnVector::GetValue(size_t i) const {
   return Value::Null();
 }
 
+void ColumnVector::AppendSelected(const ColumnVector& src, const uint32_t* sel,
+                                  size_t n) {
+  if (boxed_ || src.boxed_ || src.type_ != type_ || type_ == TypeId::kNull) {
+    for (size_t k = 0; k < n; ++k) Append(src.GetValue(sel[k]));
+    return;
+  }
+  const bool nulls = !src.no_nulls();
+  for (size_t k = 0; k < n; ++k) {
+    const uint32_t i = sel[k];
+    if (nulls && src.IsNull(i)) {
+      AppendNull();
+      continue;
+    }
+    switch (type_) {
+      case TypeId::kInt:
+        ints_.push_back(src.ints_[i]);
+        break;
+      case TypeId::kDouble:
+        doubles_.push_back(src.doubles_[i]);
+        break;
+      case TypeId::kBool:
+        bools_.push_back(src.bools_[i]);
+        break;
+      case TypeId::kString:
+        strings_.push_back(src.strings_[i]);
+        break;
+      case TypeId::kNull:
+        break;
+    }
+    MarkValid();
+    ++size_;
+  }
+}
+
 ColumnVector ColumnVector::Gather(const std::vector<uint32_t>& idxs) const {
   ColumnVector out(type_);
   if (boxed_) {

@@ -69,6 +69,11 @@ class ColumnVector {
   /// Validity mask: empty means "all valid"; otherwise 1 = non-null.
   const std::vector<uint8_t>& valid() const { return valid_; }
 
+  /// Appends the cells of `src` at sel[0..n), in order: exactly
+  /// Append(src.GetValue(sel[k])) for each k, without boxing a Value when
+  /// both columns hold the same non-boxed type.
+  void AppendSelected(const ColumnVector& src, const uint32_t* sel, size_t n);
+
   /// New column with the rows at `idxs`, in order (filter/gather).
   ColumnVector Gather(const std::vector<uint32_t>& idxs) const;
 

@@ -11,33 +11,12 @@
 #include "src/common/rng.h"
 #include "src/common/str_util.h"
 #include "src/engine/database.h"
-#include "src/prob/world_enum.h"
+#include "tests/world_oracle.h"
 
 namespace maybms {
 namespace {
 
 constexpr double kTol = 1e-9;
-
-// A materialized U-relation snapshot for the oracle.
-struct Snapshot {
-  std::vector<Row> rows;  // (k, v) + condition
-};
-
-Snapshot Snap(const Database& db, const std::string& table) {
-  Snapshot s;
-  auto t = db.catalog().GetTable(table);
-  EXPECT_TRUE(t.ok());
-  if (t.ok()) s.rows = (*t)->rows();
-  return s;
-}
-
-// Enumerates all worlds; calls fn(world) for each.
-void ForEachWorld(const Database& db, const std::function<void(const World&)>& fn) {
-  const WorldTable& wt = db.catalog().world_table();
-  std::vector<VarId> vars;
-  for (VarId v = 0; v < wt.NumVariables(); ++v) vars.push_back(v);
-  ASSERT_TRUE(EnumerateWorlds(wt, vars, 1u << 20, fn).ok());
-}
 
 // Builds two small random tables and random uncertain views over them.
 // Keeps the variable count small enough for full world enumeration.

@@ -262,6 +262,61 @@ TEST(OptimizerTest, PlainExplainRendersTheOptimizedPlanViaSession) {
   EXPECT_NE(r->message().find("est="), std::string::npos) << r->message();
 }
 
+// The estimate on an EXPLAIN line ("[est=N rows]"); -1 when absent.
+double EstOf(const std::string& line) {
+  size_t at = line.find("[est=");
+  return at == std::string::npos ? -1 : std::stod(line.substr(at + 5));
+}
+
+TEST(OptimizerTest, FiltersOverIndexScanKeepEstimatesAtMostTheirInput) {
+  // A range on an indexed column arrives as a chain of one-conjunct
+  // filters over the scan. Each filter was estimated against the whole
+  // table; once the access-path pass narrows the scan to an IndexScan, no
+  // filter above it may claim more rows than its own input.
+  Database db;
+  ASSERT_TRUE(db.Execute("create table t (player int, team int)").ok());
+  ASSERT_TRUE(db.Execute("create table s (player int, skill text)").ok());
+  for (int begin = 0; begin < 6000; begin += 500) {
+    std::string t = "insert into t values ";
+    std::string s = "insert into s values ";
+    for (int i = begin; i < begin + 500; ++i) {
+      const char* sep = i == begin ? "" : ", ";
+      t += StringFormat("%s(%d, %d)", sep, i, i / 60);
+      s += StringFormat("%s(%d, 'sk%d')", sep, i, i % 7);
+    }
+    ASSERT_TRUE(db.Execute(t).ok());
+    ASSERT_TRUE(db.Execute(s).ok());
+  }
+  ASSERT_TRUE(db.Execute("create index t_team on t (team)").ok());
+  auto plan = db.Explain(
+      "select s.skill from t, s where t.team >= 25 and t.team <= 27 and "
+      "t.player <> 1501 and t.player = s.player");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_NE(plan->find("IndexScan t using t_team"), std::string::npos) << *plan;
+  std::vector<std::string> lines = Split(*plan, '\n');
+  size_t filters_checked = 0;
+  for (size_t i = 0; i + 1 < lines.size(); ++i) {
+    if (lines[i].find("Filter (") == std::string::npos) continue;
+    // A filter's only child is the next line.
+    const double est = EstOf(lines[i]);
+    const double child_est = EstOf(lines[i + 1]);
+    ASSERT_GE(est, 0) << lines[i];
+    ASSERT_GE(child_est, 0) << lines[i + 1];
+    EXPECT_LE(est, child_est) << lines[i] << "\nover\n" << lines[i + 1];
+    ++filters_checked;
+  }
+  EXPECT_GE(filters_checked, 3u) << *plan;
+  // Plans change only in cost: the answers stay those of a sequential scan.
+  auto with_index = db.Query("select count(*) from t, s where t.team >= 25 and "
+                             "t.team <= 27 and t.player = s.player");
+  ASSERT_TRUE(db.Execute("set use_indexes = off").ok());
+  auto without = db.Query("select count(*) from t, s where t.team >= 25 and "
+                          "t.team <= 27 and t.player = s.player");
+  ASSERT_TRUE(with_index.ok() && without.ok());
+  EXPECT_TRUE(with_index->At(0, 0).Equals(without->At(0, 0)));
+  EXPECT_TRUE(with_index->At(0, 0).Equals(Value::Int(180)));
+}
+
 // ---------------------------------------------------------------------------
 // Property: optimizer on/off identity (multiset + bit-identical confidence)
 // ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/str_util.h"
 #include "src/engine/database.h"
 #include "src/engine/session.h"
 #include "src/server/server.h"
@@ -403,6 +404,50 @@ TEST(ServerTest, ProtocolRoundTrip) {
   r = client.Request("\\q");
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->ok);
+  server.Stop();
+}
+
+TEST(ServerTest, ManyLineRepliesMatchTheRenderedResultExactly) {
+  // A reply of thousands of payload lines, many straddling receive chunks:
+  // the client reads it line by line out of one receive buffer, and every
+  // line must come back byte for byte as QueryResult::ToString rendered it.
+  Database db;
+  ASSERT_TRUE(db.Execute("create table t (x int, d double, s text)").ok());
+  constexpr int kRows = 6000;
+  for (int begin = 0; begin < kRows; begin += 500) {
+    std::string sql = "insert into t values ";
+    for (int i = begin; i < begin + 500; ++i) {
+      if (i > begin) sql += ", ";
+      sql += StringFormat("(%d, %d.25, '%s')", i, i * 3,
+                          std::string(i % 13, static_cast<char>('a' + i % 26)).c_str());
+    }
+    ASSERT_TRUE(db.Execute(sql).ok());
+  }
+  const std::string query = "select x, d, s from t order by x";
+  auto expected = db.Query(query);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  std::vector<std::string> want = Split(expected->ToString(), '\n');
+  ASSERT_EQ(want.back(), "");  // the rendering ends in a newline
+  want.pop_back();
+  ASSERT_GT(want.size(), static_cast<size_t>(kRows));
+
+  Server server(&db.session_manager());
+  std::string path = TestSocketPath("lines");
+  ASSERT_TRUE(server.Start(path).ok());
+  Client client;
+  ASSERT_TRUE(client.Connect(path).ok());
+  for (int round = 0; round < 2; ++round) {  // the buffer carries over
+    auto r = client.Request(query);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_TRUE(r->ok) << r->message;
+    ASSERT_EQ(r->lines.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(r->lines[i], want[i]) << "round " << round << " line " << i;
+    }
+    auto small = client.Request("select x from t where x = 7");
+    ASSERT_TRUE(small.ok() && small->ok);
+    EXPECT_EQ(small->lines.size(), 6u);  // 3 rules, header, row, count
+  }
   server.Stop();
 }
 

@@ -90,6 +90,11 @@ GUARDED_CASES = [
     # overhead included).
     ("optimizer", "star_optimized"),
     ("optimizer", "chain_optimized"),
+    # Typed join-key kernels: a selective dimension filter reducing a 30k-row
+    # fact table through SemiJoinReduce, whose probe the key table's
+    # build-side range filter mostly skips. The binary exits non-zero if
+    # the reducer is not placed or on/off answers diverge.
+    ("optimizer", "semijoin_reduce"),
     # Paged storage engine (ISSUE 10): indexed point lookups and narrow
     # range scans through B+ tree access paths, plus the binary paged
     # save/load round trip under a deliberately small 64-frame buffer
