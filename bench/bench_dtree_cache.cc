@@ -11,7 +11,7 @@
 //   conf_cold    — the statement with an empty cache (compiles + fills),
 //   conf_cached  — kRepeats warm statements (every group served from the
 //                  cache), with the hit rate and the per-statement speedup,
-// for both engines at threads {1, 4}, and SELF-CHECKS that cached answers
+// at threads {1, 4}, and SELF-CHECKS that cached answers
 // are bit-identical to a cache-disabled database (exits non-zero on any
 // mismatch — the guard CI runs this). A final section gates the metrics
 // registry's overhead: SET metrics = on vs off on the warm dashboard must
@@ -53,11 +53,9 @@ const char* kDashboardSql = "select g, conf() as p from dash group by g order by
 /// the component-parallel root splits them; within a group the solver
 /// works). Deterministic seed: every database built here carries
 /// IDENTICAL lineage, so results compare bitwise across configurations.
-std::unique_ptr<Database> BuildDashboard(unsigned threads, ExecEngine engine,
-                                         bool cache_on) {
+std::unique_ptr<Database> BuildDashboard(unsigned threads, bool cache_on) {
   DatabaseOptions options;
   options.exec.num_threads = threads;
-  options.exec.engine = engine;
   options.exec.dtree_cache = cache_on;
   auto db = std::make_unique<Database>(options);
   Schema schema(std::vector<Column>{{"g", TypeId::kInt}, {"id", TypeId::kInt}});
@@ -117,98 +115,96 @@ int main() {
   std::vector<double> reference;  // bit-identity across every configuration
 
   for (unsigned threads : {1u, 4u}) {
-    for (ExecEngine engine : {ExecEngine::kBatch, ExecEngine::kRow}) {
-      const char* engine_name = engine == ExecEngine::kBatch ? "batch" : "row";
-      PrintHeader(StringFormat("engine=%s threads=%u", engine_name, threads).c_str());
+    PrintHeader(StringFormat("threads=%u", threads).c_str());
 
-      // The uncached truth first: this is the PR-4 baseline the cache must
-      // reproduce bit-for-bit and beat by >= 3x on repeats.
-      auto off = BuildDashboard(threads, engine, /*cache_on=*/false);
-      if (off == nullptr) return 1;
-      double uncached_ms = TimeMs3([&] { (void)off->Query(kDashboardSql); });
-      std::vector<double> truth = RunDashboard(off.get());
-      if (truth.empty()) return 1;
+    // The uncached truth first: this is the PR-4 baseline the cache must
+    // reproduce bit-for-bit and beat by >= 3x on repeats.
+    auto off = BuildDashboard(threads, /*cache_on=*/false);
+    if (off == nullptr) return 1;
+    double uncached_ms = TimeMs3([&] { (void)off->Query(kDashboardSql); });
+    std::vector<double> truth = RunDashboard(off.get());
+    if (truth.empty()) return 1;
 
-      auto db = BuildDashboard(threads, engine, /*cache_on=*/true);
-      if (db == nullptr) return 1;
-      DTreeCache& cache = db->catalog().dtree_cache();
+    auto db = BuildDashboard(threads, /*cache_on=*/true);
+    if (db == nullptr) return 1;
+    DTreeCache& cache = db->catalog().dtree_cache();
 
-      // Cold: every sample starts from an empty cache.
-      double cold_ms = TimeMs3([&] {
-        cache.Clear();
-        (void)db->Query(kDashboardSql);
-      });
+    // Cold: every sample starts from an empty cache.
+    double cold_ms = TimeMs3([&] {
+      cache.Clear();
+      (void)db->Query(kDashboardSql);
+    });
 
-      // Warm: the dashboard re-issued kRepeats times, all groups cached.
-      // The registry snapshot delta across the timed region rides into the
-      // JSON metrics object (the regression guard reads hit rates off it).
-      cache.ResetCounters();
-      auto stats_before = db->session_manager().StatsSnapshot();
-      double warm_total_ms = TimeMs3([&] {
-        for (int i = 0; i < kRepeats; ++i) (void)db->Query(kDashboardSql);
-      });
-      auto stats_after = db->session_manager().StatsSnapshot();
-      double warm_ms = warm_total_ms / kRepeats;
-      DTreeCache::Stats stats = cache.stats();
-      double probes = static_cast<double>(stats.hits + stats.misses);
-      double hit_rate = probes > 0 ? static_cast<double>(stats.hits) / probes : 0;
-      double speedup = warm_ms > 0 ? cold_ms / warm_ms : 0;
+    // Warm: the dashboard re-issued kRepeats times, all groups cached.
+    // The registry snapshot delta across the timed region rides into the
+    // JSON metrics object (the regression guard reads hit rates off it).
+    cache.ResetCounters();
+    auto stats_before = db->session_manager().StatsSnapshot();
+    double warm_total_ms = TimeMs3([&] {
+      for (int i = 0; i < kRepeats; ++i) (void)db->Query(kDashboardSql);
+    });
+    auto stats_after = db->session_manager().StatsSnapshot();
+    double warm_ms = warm_total_ms / kRepeats;
+    DTreeCache::Stats stats = cache.stats();
+    double probes = static_cast<double>(stats.hits + stats.misses);
+    double hit_rate = probes > 0 ? static_cast<double>(stats.hits) / probes : 0;
+    double speedup = warm_ms > 0 ? cold_ms / warm_ms : 0;
 
-      // Bit-identity self-checks: cached vs uncached, and vs every other
-      // engine/thread configuration (the first one seen is the reference).
-      std::vector<double> cached = RunDashboard(db.get());
-      if (cached.size() != truth.size() || truth.empty()) ++failures;
-      for (size_t i = 0; i < cached.size() && i < truth.size(); ++i) {
-        if (Bits(cached[i]) != Bits(truth[i])) {
-          std::printf("  ERROR: cached probability differs from uncached at "
-                      "group %zu: %.17g vs %.17g\n", i, cached[i], truth[i]);
+    // Bit-identity self-checks: cached vs uncached, and vs every other
+    // thread configuration (the first one seen is the reference).
+    std::vector<double> cached = RunDashboard(db.get());
+    if (cached.size() != truth.size() || truth.empty()) ++failures;
+    for (size_t i = 0; i < cached.size() && i < truth.size(); ++i) {
+      if (Bits(cached[i]) != Bits(truth[i])) {
+        std::printf("  ERROR: cached probability differs from uncached at "
+                    "group %zu: %.17g vs %.17g\n", i, cached[i], truth[i]);
+        ++failures;
+      }
+    }
+    if (reference.empty()) {
+      reference = truth;
+    } else {
+      for (size_t i = 0; i < truth.size(); ++i) {
+        if (Bits(reference[i]) != Bits(truth[i])) {
+          std::printf("  ERROR: thread configuration drifted at "
+                      "group %zu\n", i);
           ++failures;
         }
       }
-      if (reference.empty()) {
-        reference = truth;
-      } else {
-        for (size_t i = 0; i < truth.size(); ++i) {
-          if (Bits(reference[i]) != Bits(truth[i])) {
-            std::printf("  ERROR: engine/thread configuration drifted at "
-                        "group %zu\n", i);
-            ++failures;
-          }
-        }
-      }
+    }
 
-      std::printf("  uncached statement:      %8.2f ms\n", uncached_ms);
-      std::printf("  cold statement (+fill):  %8.2f ms\n", cold_ms);
-      std::printf("  warm statement:          %8.2f ms  (%.0fx cold, hit rate "
-                  "%.0f%%, %zu entries, %.0f KiB)\n",
-                  warm_ms, speedup, 100 * hit_rate, stats.entries,
-                  static_cast<double>(stats.bytes) / 1024.0);
+    std::printf("  uncached statement:      %8.2f ms\n", uncached_ms);
+    std::printf("  cold statement (+fill):  %8.2f ms\n", cold_ms);
+    std::printf("  warm statement:          %8.2f ms  (%.0fx cold, hit rate "
+                "%.0f%%, %zu entries, %.0f KiB)\n",
+                warm_ms, speedup, 100 * hit_rate, stats.entries,
+                static_cast<double>(stats.bytes) / 1024.0);
 
-      // One case name per phase; engine/threads live in the params, so the
-      // regression guard's (case, params) matching sees four comparable
-      // records per case group.
-      const double engine_batch = engine == ExecEngine::kBatch ? 1.0 : 0.0;
-      json.Report("conf_cold", cold_ms)
-          .Threads(threads)
-          .Param("engine_batch", engine_batch)
-          .Param("groups", kGroups)
-          .Metric("uncached_ms", uncached_ms);
-      JsonReporter::Record& warm_record =
-          json.Report("conf_cached", warm_total_ms)
-              .Threads(threads)
-              .Param("engine_batch", engine_batch)
-              .Param("groups", kGroups)
-              .Param("repeats", kRepeats)
-              .Metric("per_statement_ms", warm_ms)
-              .Metric("hit_rate", hit_rate)
-              .Metric("speedup_vs_cold", speedup);
-      maybms_bench::MetricsDelta(&warm_record, stats_before, stats_after,
-                                 {"dtree_cache.", "conf.", "stmt.select"});
+    // One case name per phase; threads live in the params, so the
+    // regression guard's (case, params) matching sees one comparable
+    // record per thread count. `engine_batch: 1` keeps the records keyed
+    // like the committed baselines.
+    const double engine_batch = 1.0;
+    json.Report("conf_cold", cold_ms)
+        .Threads(threads)
+        .Param("engine_batch", engine_batch)
+        .Param("groups", kGroups)
+        .Metric("uncached_ms", uncached_ms);
+    JsonReporter::Record& warm_record =
+        json.Report("conf_cached", warm_total_ms)
+            .Threads(threads)
+            .Param("engine_batch", engine_batch)
+            .Param("groups", kGroups)
+            .Param("repeats", kRepeats)
+            .Metric("per_statement_ms", warm_ms)
+            .Metric("hit_rate", hit_rate)
+            .Metric("speedup_vs_cold", speedup);
+    maybms_bench::MetricsDelta(&warm_record, stats_before, stats_after,
+                               {"dtree_cache.", "conf.", "stmt.select"});
 
-      if (hit_rate <= 0) {
-        std::printf("  ERROR: warm dashboard reported no cache hits\n");
-        ++failures;
-      }
+    if (hit_rate <= 0) {
+      std::printf("  ERROR: warm dashboard reported no cache hits\n");
+      ++failures;
     }
   }
 
@@ -218,7 +214,7 @@ int main() {
   // delta is under ~1.5us each are inside 1-CPU scheduler jitter.
   {
     PrintHeader("metrics overhead self-check (warm dashboard, batch, 1 thread)");
-    auto db = BuildDashboard(1, ExecEngine::kBatch, /*cache_on=*/true);
+    auto db = BuildDashboard(1, /*cache_on=*/true);
     if (db == nullptr) return 1;
     (void)db->Query(kDashboardSql);  // fill the cache once
     auto repeat = [&] {
@@ -253,7 +249,7 @@ int main() {
     std::printf("\n%d self-check failure(s)\n", failures);
     return 1;
   }
-  std::printf("\nall probabilities bit-identical: cache on/off x row/batch x "
+  std::printf("\nall probabilities bit-identical: cache on/off x "
               "threads {1,4}; metrics overhead within budget\n");
   return 0;
 }

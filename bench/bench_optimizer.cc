@@ -34,7 +34,7 @@
 //
 // SELF-CHECK: before timing, every shape also runs an uncertain variant
 // (joining through a pick-tuples U-relation, plus a conf() aggregate)
-// with the optimizer on and off, across both engines (row, batch). The
+// with the optimizer on and off, at num_threads 1 and 4. The
 // sorted multisets — values AND condition columns, doubles at full
 // %.17g precision — must match bit for bit. Any mismatch prints the
 // offending case and exits non-zero (the guard CI runs this binary in
@@ -132,32 +132,33 @@ std::vector<std::string> Multiset(const QueryResult& r) {
   return rows;
 }
 
-Result<std::vector<std::string>> RunMultiset(Database* db, const char* engine,
+Result<std::vector<std::string>> RunMultiset(Database* db, unsigned threads,
                                              const char* optimizer,
                                              const std::string& sql) {
-  MAYBMS_RETURN_NOT_OK(db->Execute(StringFormat("set engine = %s", engine)));
+  MAYBMS_RETURN_NOT_OK(db->Execute(StringFormat("set num_threads = %u", threads)));
   MAYBMS_RETURN_NOT_OK(db->Execute(StringFormat("set optimizer = %s", optimizer)));
   MAYBMS_ASSIGN_OR_RETURN(QueryResult r, db->Query(sql));
   return Multiset(r);
 }
 
-// Runs `sql` with the optimizer on and off under both engines and fails
+// Runs `sql` with the optimizer on and off at 1 and 4 threads and fails
 // the process on any multiset divergence.
 void SelfCheck(Database* db, const char* label, const std::string& sql) {
-  for (const char* engine : {"row", "batch"}) {
-    auto on = RunMultiset(db, engine, "on", sql);
-    auto off = RunMultiset(db, engine, "off", sql);
+  const unsigned saved_threads = db->options().exec.num_threads;
+  for (unsigned threads : {1u, 4u}) {
+    auto on = RunMultiset(db, threads, "on", sql);
+    auto off = RunMultiset(db, threads, "off", sql);
     if (!on.ok() || !off.ok()) {
-      std::fprintf(stderr, "SELF-CHECK %s (%s): query failed: %s\n", label,
-                   engine,
+      std::fprintf(stderr, "SELF-CHECK %s (threads=%u): query failed: %s\n", label,
+                   threads,
                    (!on.ok() ? on.status() : off.status()).ToString().c_str());
       std::exit(1);
     }
     if (*on != *off) {
       std::fprintf(stderr,
-                   "SELF-CHECK %s (%s): optimizer on/off answers diverge "
+                   "SELF-CHECK %s (threads=%u): optimizer on/off answers diverge "
                    "(%zu vs %zu rows)\n",
-                   label, engine, on->size(), off->size());
+                   label, threads, on->size(), off->size());
       size_t n = std::max(on->size(), off->size());
       for (size_t i = 0; i < n; ++i) {
         const std::string a = i < on->size() ? (*on)[i] : "<missing>";
@@ -168,7 +169,7 @@ void SelfCheck(Database* db, const char* label, const std::string& sql) {
     }
   }
   // Restore the default configuration for the timed runs.
-  (void)db->Execute("set engine = batch");
+  (void)db->Execute(StringFormat("set num_threads = %u", saved_threads));
   (void)db->Execute("set optimizer = on");
 }
 
@@ -211,7 +212,7 @@ int main() {
        "where big1.k = mid.k and mid.m = usmall.m and usmall.s < 2 "
        "group by big1.a"});
 
-  PrintHeader("self-check (on/off bit-identity, row + batch engines)");
+  PrintHeader("self-check (on/off bit-identity, 1 and 4 threads)");
   for (const Shape& shape : shapes) {
     SelfCheck(&db, shape.name, shape.check_sql);
     SelfCheck(&db, shape.name, shape.check_conf_sql);

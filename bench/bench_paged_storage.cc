@@ -21,7 +21,7 @@
 // only trips when access-path selection silently stops firing.
 //
 // SELF-CHECK: before timing, every query shape runs with indexes on and
-// off across both engines (row, batch) and the rendered results must
+// off at num_threads 1 and 4 and the rendered results must
 // match bit for bit — the recheck-based IndexScan contract. The loaded
 // database must also answer identically to the saved one. Any mismatch
 // prints the offending case and exits non-zero (the guard CI runs this
@@ -70,7 +70,7 @@ std::vector<std::string> Shapes() {
   return shapes;
 }
 
-// Bit-identity sweep: engines x use_indexes on a few representative
+// Bit-identity sweep: threads x use_indexes on a few representative
 // shapes. Returns false (after printing) on any divergence.
 bool ParityCheck(Database* db) {
   const std::vector<std::string> queries = {
@@ -84,9 +84,10 @@ bool ParityCheck(Database* db) {
     if (!r.ok()) return false;
     expected.push_back(r->ToString());
   }
-  for (const char* engine : {"row", "batch"}) {
+  const unsigned saved_threads = db->options().exec.num_threads;
+  for (unsigned threads : {1u, 4u}) {
     for (const char* idx : {"on", "off"}) {
-      if (!db->Execute(StringFormat("set engine = %s", engine)).ok()) {
+      if (!db->Execute(StringFormat("set num_threads = %u", threads)).ok()) {
         return false;
       }
       if (!db->Execute(StringFormat("set use_indexes = %s", idx)).ok()) {
@@ -96,15 +97,15 @@ bool ParityCheck(Database* db) {
         auto r = db->Query(queries[i]);
         if (!r.ok() || r->ToString() != expected[i]) {
           std::fprintf(stderr,
-                       "SELF-CHECK FAILED: %s diverges (engine=%s "
+                       "SELF-CHECK FAILED: %s diverges (threads=%u "
                        "use_indexes=%s)\n",
-                       queries[i].c_str(), engine, idx);
+                       queries[i].c_str(), threads, idx);
           return false;
         }
       }
     }
   }
-  return db->Execute("set engine = batch").ok() &&
+  return db->Execute(StringFormat("set num_threads = %u", saved_threads)).ok() &&
          db->Execute("set use_indexes = on").ok();
 }
 

@@ -76,18 +76,16 @@ std::vector<std::string> Script(int session_idx) {
   return s;
 }
 
-SessionOptions OptionsFor(int session_idx) {
+SessionOptions DashboardOptions() {
   SessionOptions options;
   options.exec.num_threads = 1;  // concurrency comes from sessions here
-  options.exec.engine =
-      session_idx % 2 == 0 ? ExecEngine::kBatch : ExecEngine::kRow;
   return options;
 }
 
 /// Runs one script on a fresh session, appending the bits of every cell.
 bool RunScript(SessionManager* manager, int session_idx,
                std::vector<uint64_t>* bits) {
-  auto session = manager->CreateSession(OptionsFor(session_idx));
+  auto session = manager->CreateSession(DashboardOptions());
   for (const std::string& sql : Script(session_idx)) {
     auto r = session->Query(sql);
     if (!r.ok()) {

@@ -177,7 +177,7 @@ void PrintBanner(bool serving, bool remote, const char* socket_path) {
       "          SET conf_fallback = on|off (over-budget conf() answers "
       "as seeded aconf with a warning; default on),\n"
       "          SET fallback_epsilon|fallback_delta = <p>,\n"
-      "          SET engine = batch|row, SET num_threads = <n>,\n"
+      "          SET num_threads = <n>,\n"
       "          SET dtree_cache = on|off (reuse compiled lineage across "
       "statements; default on, stats under \\d),\n"
       "          SET dtree_cache_budget = <bytes> (shared cache LRU budget; "

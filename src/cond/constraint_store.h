@@ -68,7 +68,7 @@ class ConstraintStore {
   bool active() const { return !clauses_.empty(); }
 
   /// The flattened evidence clauses (disjunction), canonical order:
-  /// deduplicated, absorption-reduced, stable across engines and sessions.
+  /// deduplicated, absorption-reduced, stable across sessions.
   const std::vector<Condition>& clauses() const { return clauses_; }
   size_t NumClauses() const { return clauses_.size(); }
 

@@ -105,8 +105,8 @@ Result<double> PosteriorExactConfidence(const Dnf& query,
                         wt, options, nullptr, pool));
   } else {
     // Product too large: P(Q ∧ C) = P(Q) + P(C) − P(Q ∨ C). The choice
-    // depends only on clause counts, so it is identical across engines and
-    // thread counts. Caveat: the subtraction carries an absolute error
+    // depends only on clause counts, so it is identical across thread
+    // counts. Caveat: the subtraction carries an absolute error
     // floor of ~1e-16, so when the true conjunction probability is many
     // orders below P(Q)/P(C) this path loses relative precision (down to
     // reporting 0 for a tiny positive posterior) — the cancellation-free
@@ -152,14 +152,6 @@ Result<double> PosteriorConditionProb(const Atom* atoms, size_t n,
                                   product_offsets.size() - 1, wt),
                       wt, options, nullptr, nullptr));
   return Clamp01(p_and / store.probability());
-}
-
-Result<double> PosteriorConditionProb(const Condition& cond,
-                                      const ConstraintStore& store,
-                                      const WorldTable& wt,
-                                      const ExactOptions& options) {
-  return PosteriorConditionProb(cond.atoms().data(), cond.atoms().size(), store,
-                                wt, options);
 }
 
 CompiledDnf ConditionedLineage(const Dnf& query, const ConstraintStore& store,

@@ -20,7 +20,7 @@
 //     when the tuple's condition shares no variables with the evidence.
 //
 // Every function here is a pure function of (lineage, store, world table,
-// options[, seed]) — bit-identical across engines and thread counts.
+// options[, seed]) — bit-identical across thread counts.
 #pragma once
 
 #include "src/cond/constraint_store.h"
@@ -45,7 +45,7 @@ Result<double> PosteriorExactConfidence(const Dnf& query,
 /// exact attempt on the Q ∧ C product (bit-identical to
 /// PosteriorExactConfidence when it fits), then the conditioned sampler on
 /// ConditionedLineage. The result is a pure function of (query, store,
-/// base_seed) — identical at any thread count and across engines.
+/// base_seed) — identical at any thread count.
 Result<MonteCarloResult> PosteriorApproxConfidenceSeeded(
     const Dnf& query, const ConstraintStore& store, const WorldTable& wt,
     double epsilon, double delta, uint64_t base_seed,
@@ -61,10 +61,6 @@ CompiledDnf ConditionedLineage(const Dnf& query, const ConstraintStore& store,
 /// tconf()/esum()/ecount() kernel. With an inactive store this is exactly
 /// the prior product wt.ConditionProb(...).
 Result<double> PosteriorConditionProb(const Atom* atoms, size_t n,
-                                      const ConstraintStore& store,
-                                      const WorldTable& wt,
-                                      const ExactOptions& options);
-Result<double> PosteriorConditionProb(const Condition& cond,
                                       const ConstraintStore& store,
                                       const WorldTable& wt,
                                       const ExactOptions& options);

@@ -99,7 +99,7 @@ uint64_t SubstreamSeed(uint64_t base_seed, uint64_t batch_index);
 // (SubstreamSeed): the trial-value sequence, the stopping decisions, and
 // the final estimate are a pure function of (base_seed, epsilon, delta,
 // options) — bit-identical whether computed serially (pool == nullptr) or
-// on a pool of any size. The engines derive base_seed from the lineage
+// on a pool of any size. The executor derives base_seed from the lineage
 // content (LineageSeed in src/exec/conf_fallback.h), so repeated aconf
 // statements over unchanged lineage are repeatable — and cacheable.
 

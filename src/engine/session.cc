@@ -559,14 +559,6 @@ Result<QueryResult> Session::RunSet(const SetStmt& set) {
     MAYBMS_ASSIGN_OR_RETURN(exec.fallback_epsilon, SetFraction(set));
   } else if (set.name == "fallback_delta") {
     MAYBMS_ASSIGN_OR_RETURN(exec.fallback_delta, SetFraction(set));
-  } else if (set.name == "engine") {
-    if (set.value_text == "row") {
-      exec.engine = ExecEngine::kRow;
-    } else if (set.value_text == "batch") {
-      exec.engine = ExecEngine::kBatch;
-    } else {
-      return Status::InvalidArgument("SET engine expects 'row' or 'batch'");
-    }
   } else if (set.name == "num_threads") {
     MAYBMS_ASSIGN_OR_RETURN(
         uint64_t threads,
@@ -606,7 +598,7 @@ Result<QueryResult> Session::RunSet(const SetStmt& set) {
     return Status::InvalidArgument(StringFormat(
         "unknown setting '%s' (supported: dtree_node_budget, dtree_cache, "
         "dtree_cache_budget, dtree_component_cache, snapshot_chunk_rows, "
-        "conf_fallback, fallback_epsilon, fallback_delta, engine, "
+        "conf_fallback, fallback_epsilon, fallback_delta, "
         "num_threads, metrics, optimizer, optimizer_semijoin, use_indexes, "
         "trace_sample)",
         set.name.c_str()));
@@ -830,7 +822,7 @@ Result<QueryResult> Session::RunOrdinary(const Statement& stmt,
   options_.exec.montecarlo.cache = options_.exec.exact.cache;
   options_.exec.montecarlo.world_version = catalog.world_table().version();
   // Per-statement confidence-phase counters, wired through the solver
-  // options so every conf path (both engines, fallbacks, posteriors)
+  // options so every conf path (aggregates, fallbacks, posteriors)
   // reports to them. OUTSIDE the cache-key fingerprints — attaching them
   // cannot perturb cached results. Unwired on every exit path: options_
   // outlives the counters.

@@ -615,7 +615,7 @@ class JoinOp : public BatchOperator {
 
   // Probes left rows [begin, end): thread-safe (only touches *out,
   // *range_skipped and read-only build state). Matches come in build-input
-  // (= right input) order, like the row engine's per-key bucket vectors.
+  // (= right input) order.
   Result<Batch> ProbeRange(const Batch& lb, const KeyColumns& left_keys,
                            size_t begin, size_t end,
                            std::atomic<uint64_t>* range_skipped) const {
@@ -971,8 +971,7 @@ class DistinctOp : public MaterializedOperator {
       MAYBMS_ASSIGN_OR_RETURN(bool more, child_->Next(&in));
       if (!more) break;
       for (size_t i = 0; i < in.num_rows; ++i) {
-        // First-occurrence row (values AND its condition) survives,
-        // matching the row engine.
+        // First-occurrence row (values AND its condition) survives.
         if (acc.Add(in, i)) conds.AppendFrom(in.conditions, i);
       }
       in = Batch();
@@ -1163,9 +1162,9 @@ class LimitOp : public BatchOperator {
   }
 
  private:
-  // The row engine materializes the child fully before truncating, so its
+  // A limit has materializing semantics: the child runs to the end, so its
   // side effects (pick-tuples/repair-key variable registration) and errors
-  // past the cutoff still happen. Drain the rest for engine parity.
+  // past the cutoff still happen. Drain the rest.
   Result<bool> Drain() {
     Batch in;
     while (true) {
@@ -1545,7 +1544,7 @@ class AggregateOp : public MaterializedOperator {
   }
 
  private:
-  // Accumulator for one standard SQL aggregate (mirrors the row engine).
+  // Accumulator for one standard SQL aggregate.
   struct StandardAcc {
     int64_t count = 0;
     double dsum = 0;
@@ -1577,7 +1576,7 @@ class AggregateOp : public MaterializedOperator {
   // content (LineageSeed) and samples on counter-based substreams: the
   // estimate is a pure function of the lineage, so it is identical at every
   // thread count (a null pool runs the substreams serially), across
-  // engines, across optimizer join orders, and across repeated statements
+  // optimizer join orders, and across repeated statements
   // over unchanged lineage (which makes it cacheable).
   template <typename ArgFn, typename Arg2Fn>
   Result<std::vector<std::vector<Value>>> GroupAggregates(
@@ -1640,7 +1639,7 @@ class AggregateOp : public MaterializedOperator {
           // merge-order invariant; only the duplicates' arrival order can
           // differ between join orders). The lineage handed to every solver
           // below is then a pure function of the group's condition set, so
-          // optimizer-on, optimizer-off, both engines, and every join order
+          // optimizer-on, optimizer-off, every thread count and join order
           // produce bit-identical conf()/aconf() values.
           std::vector<uint32_t> ordered(members.begin(), members.end());
           std::stable_sort(ordered.begin(), ordered.end(),
@@ -1652,9 +1651,8 @@ class AggregateOp : public MaterializedOperator {
                            });
           if (cs.active()) {
             // Conditioned path: posterior P(lineage | C). The clause list
-            // materializes as heap Conditions so both engines feed the
-            // posterior solver identical inputs (bit-identical answers);
-            // the unconditioned span-compiled fast path below is untouched.
+            // materializes as heap Conditions for the posterior solver; the
+            // unconditioned span-compiled fast path below is untouched.
             Dnf dnf;
             for (uint32_t row : ordered) dnf.AddClause(in.conds.ToCondition(row));
             if (agg.kind == AggKind::kConf) {
@@ -1957,7 +1955,7 @@ bool RuntimeUncertain(const PlanNode& plan) {
 
 }  // namespace
 
-Result<TableData> ExecutePlanBatch(const PlanNode& plan, ExecContext* ctx) {
+Result<TableData> ExecutePlan(const PlanNode& plan, ExecContext* ctx) {
   // Callers may hand over a context without options; the conf()/aconf()
   // aggregates read them, so substitute defaults (outlives the operator
   // tree — it is executed before this function returns).

@@ -5,9 +5,9 @@
 // expressions column-at-a-time, and conf()/aconf() aggregates compile their
 // lineage straight from condition-column spans.
 //
-// Semantics (values, probabilities, and output order) match the row engine
-// in src/exec/operators.cc exactly; the parity test suite holds both
-// engines to that.
+// It is the only executor: tests hold its answers to recorded goldens
+// (tests/engine_goldens.inc) and to brute-force possible-world enumeration
+// (tests/world_oracle.h).
 #pragma once
 
 #include "src/exec/exec_context.h"
@@ -15,7 +15,7 @@
 
 namespace maybms {
 
-/// Executes a bound plan with the batch engine, materializing the result.
-Result<TableData> ExecutePlanBatch(const PlanNode& plan, ExecContext* ctx);
+/// Executes a bound plan, materializing the result.
+Result<TableData> ExecutePlan(const PlanNode& plan, ExecContext* ctx);
 
 }  // namespace maybms

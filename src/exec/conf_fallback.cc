@@ -38,10 +38,10 @@ Result<double> Fallback(Result<MonteCarloResult> mc, const Status& exact_error,
 
 }  // namespace
 
-/// Content hash of the group lineage over GLOBAL variable ids. Both
-/// engines feed identical clause lists for the same group (pinned by the
-/// parity suites), so the seed — and with it the estimate — is
-/// engine-independent.
+/// Content hash of the group lineage over GLOBAL variable ids. The
+/// aggregate feeds a canonical clause list for each group, so the seed —
+/// and with it the estimate — is independent of thread count and join
+/// order.
 uint64_t LineageSeed(const Dnf& dnf) {
   uint64_t h = kFnvOffset;
   for (const Condition& c : dnf.clauses()) {

@@ -11,7 +11,7 @@
 // Determinism: the fallback runs the aconf front end (src/conf/montecarlo.h)
 // with a seed that is a pure function of the group's lineage content (a
 // hash over its global-variable atoms), so the fallback answer is
-// identical across engines, thread counts, and sessions.
+// identical across thread counts, join orders, and sessions.
 #pragma once
 
 #include "src/common/result.h"
@@ -25,11 +25,11 @@ class CompiledDnf;
 
 /// Content-derived seed for seeded aconf/fallback estimation: an FNV hash
 /// over the lineage's clauses (global-variable atoms, clause-end
-/// separators), Mix64-finalized. Both engines feed identical clause lists
-/// for the same group (pinned by the parity suites), so the seed — and
-/// with it the estimate — is engine-, thread-count-, and
-/// session-independent, and repeated statements over unchanged lineage
-/// reuse their cached estimates (MonteCarloOptions::cache).
+/// separators), Mix64-finalized. The aggregate feeds a canonical clause
+/// list for each group (sorted by condition), so the seed — and with it
+/// the estimate — is thread-count-, join-order- and session-independent,
+/// and repeated statements over unchanged lineage reuse their cached
+/// estimates (MonteCarloOptions::cache).
 uint64_t LineageSeed(const Dnf& dnf);
 /// Same hash over compiled lineage: the original clause list in input
 /// order with local atoms mapped back to their GLOBAL ids — exactly the
@@ -37,7 +37,7 @@ uint64_t LineageSeed(const Dnf& dnf);
 uint64_t LineageSeed(const CompiledDnf& dnf);
 
 /// Exact (posterior-aware) group confidence with the optional fallback —
-/// the row engine's and the batch engine's conditioned conf() kernel.
+/// the conditioned conf() kernel.
 Result<double> GroupConfidence(const Dnf& dnf, ExecContext* ctx);
 
 /// Same over packed condition-column spans (the batch engine's

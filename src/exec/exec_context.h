@@ -15,12 +15,6 @@
 
 namespace maybms {
 
-/// Which plan interpreter executes queries.
-enum class ExecEngine : uint8_t {
-  kRow,    ///< row-at-a-time materializing interpreter (legacy/reference)
-  kBatch,  ///< vectorized pull-based operator tree over columnar batches
-};
-
 class ThreadPool;
 class MetricsRegistry;   // src/obs/metrics.h
 struct StatementTrace;   // src/obs/trace.h
@@ -30,7 +24,6 @@ struct TraceNode;        // src/obs/trace.h
 struct ExecOptions {
   ExactOptions exact;            ///< conf() exact-algorithm tuning
   MonteCarloOptions montecarlo;  ///< aconf() sample caps
-  ExecEngine engine = ExecEngine::kBatch;
   /// Worker threads for morsel-driven batch execution and parallel
   /// confidence computation. 0 = hardware_concurrency. 1 = fully serial
   /// (no pool). Results are identical at EVERY thread count: deterministic
@@ -47,7 +40,7 @@ struct ExecOptions {
   /// aconf(fallback_epsilon, fallback_delta) estimate (plus a result
   /// warning) instead of failing the query. The fallback seed is a pure
   /// function of the group's lineage, so the estimates are identical
-  /// across engines and thread counts. Off by default: the library
+  /// across thread counts. Off by default: the library
   /// surface keeps the hard budget error; the shell turns it on
   /// (`SET conf_fallback = on`).
   bool conf_fallback = false;
@@ -56,7 +49,7 @@ struct ExecOptions {
   /// Cross-statement d-tree compilation cache (src/lineage/dtree_cache.h):
   /// repeated conf()/tconf()/posterior queries over unchanged tables skip
   /// compilation entirely. The cached values are bit-identical to fresh
-  /// compilation at every thread count on both engines (the key pins the
+  /// compilation at every thread count (the key pins the
   /// canonical lineage content, the world-table version, and the solver
   /// options including the node budget), so this is on by default; `SET
   /// dtree_cache = off` disables it per session. Only honored by
@@ -113,7 +106,7 @@ struct ExecOptions {
   /// default) the Session wires the manager's MetricsRegistry and a
   /// per-statement ConfPhaseCounters into the context/solver options and
   /// records statement phase timings + a trace-ring entry per statement.
-  /// When off, every obs pointer stays null and the engines skip ALL
+  /// When off, every obs pointer stays null and the engine skips ALL
   /// instrumentation (no clock reads, no atomic adds) — answers are
   /// identical either way; only visibility changes.
   bool metrics = true;
@@ -150,14 +143,14 @@ struct ExecContext {
   bool allow_prune = false;
   /// Shared metrics registry (src/obs/metrics.h), or null when metrics
   /// are off (or the embedder has none). Counters only: execution never
-  /// reads it. Members (not out-of-band state) because ExecutePlanBatch
+  /// reads it. Members (not out-of-band state) because ExecutePlan
   /// copies the context locally — the pointers must travel with the copy.
   MetricsRegistry* metrics = nullptr;
   /// EXPLAIN ANALYZE trace collector for the current statement, or null
   /// for untraced execution (the overwhelmingly common case).
   StatementTrace* trace = nullptr;
   /// Current parent while the trace's operator tree is being built /
-  /// recursed (batch plan build and row recursion are single-threaded).
+  /// recursed (plan build is single-threaded).
   TraceNode* trace_parent = nullptr;
 
   WorldTable& worlds() { return catalog->world_table(); }

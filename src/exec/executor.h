@@ -3,7 +3,8 @@
 
 #include <string>
 
-#include "src/exec/operators.h"
+#include "src/exec/batch_operators.h"
+#include "src/exec/exec_context.h"
 #include "src/plan/planner.h"
 
 namespace maybms {

@@ -170,8 +170,9 @@ struct BoundTconf : BoundExpr {
   BoundExprPtr Clone() const override { return std::make_unique<BoundTconf>(); }
 };
 
-/// Scalar kernels shared by the row-at-a-time tree walk and the vectorized
-/// executor (src/exec/vector_expression.h), so both engines agree on SQL
+/// Scalar kernels shared by the per-row tree walk (BoundExpr::Eval, used
+/// by UPDATE/DELETE and the per-row fallbacks) and the vectorized
+/// evaluator (src/exec/vector_expression.h), so both agree on SQL
 /// semantics to the bit.
 ///
 /// EvalUnaryValue/EvalBinaryValue accept null operands and propagate them

@@ -236,9 +236,9 @@ Result<ColumnVectorPtr> EvalUnaryVector(const BoundUnary& expr, const Batch& in)
   return out;
 }
 
-// Re-evaluates an AND/OR row-at-a-time with short-circuiting — the error
+// Re-evaluates an AND/OR per row with short-circuiting — the error
 // recovery path when eager vector evaluation of one side failed on a row
-// the row engine might never evaluate.
+// whose other side already decides the result.
 Result<ColumnVectorPtr> ShortCircuitRowFallback(const BoundBinary& expr,
                                                 const Batch& in) {
   size_t n = in.num_rows;

@@ -3,14 +3,17 @@
 //
 // Hot shapes (column/literal comparisons and arithmetic over int64/double
 // columns) run as tight typed loops over the raw column arrays. Everything
-// else falls back to a per-row loop over the *same scalar kernels the row
-// engine uses* (EvalUnaryValue/EvalBinaryValue/EvalScalarFunctionValue), so
-// the two engines cannot disagree on SQL semantics.
+// else falls back to a per-row loop over the *same scalar kernels
+// BoundExpr::Eval uses* (EvalUnaryValue/EvalBinaryValue/
+// EvalScalarFunctionValue), so the two paths cannot disagree on SQL
+// semantics.
 //
-// Error parity: AND/OR are not short-circuited when vector-evaluating (the
-// Kleene result is identical); if the eagerly-evaluated side fails — e.g. a
-// division by zero on a row the row engine would have skipped — evaluation
-// re-runs row-at-a-time with proper short-circuiting.
+// Short-circuit AND/OR re-evaluates per row: AND/OR are not short-circuited
+// when vector-evaluating (the Kleene result is identical); if the
+// eagerly-evaluated side fails — e.g. a division by zero on a row whose
+// other side already decides the result — evaluation re-runs per row with
+// proper short-circuiting, so the error surfaces only where a row-at-a-time
+// evaluation would raise it.
 #pragma once
 
 #include "src/common/result.h"

@@ -21,8 +21,6 @@ constexpr const char* kStatementKindNames[kNumStatementKinds] = {
 // Scalar counter names for everything past the per-kind blocks, in
 // Counter enumerator order starting at kFirstScalar.
 constexpr const char* kScalarNames[] = {
-    "exec.row.operators",
-    "exec.row.rows",
     "exec.batch.operators",
     "exec.batch.batches",
     "exec.batch.rows",

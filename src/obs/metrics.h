@@ -50,14 +50,12 @@ enum class Counter : uint16_t {
   kStmtFailedFirst = kStmtExecutedFirst + kNumStatementKinds,
   kFirstScalar = kStmtFailedFirst + kNumStatementKinds,
 
-  // Execution engines.
-  kRowOperators = kFirstScalar,  // row-engine plan nodes executed
-  kRowRows,                      // rows materialized by row-engine nodes
-  kBatchOperators,               // batch operators constructed
-  kBatchBatches,                 // batches pulled from plan roots
-  kBatchRows,                    // rows pulled from plan roots
-  kBatchMorsels,                 // morsels dispatched to the pool
-  kJoinRangeSkippedRows,         // join/semijoin probe rows range-filtered
+  // Execution engine.
+  kBatchOperators = kFirstScalar,  // batch operators constructed
+  kBatchBatches,                   // batches pulled from plan roots
+  kBatchRows,                      // rows pulled from plan roots
+  kBatchMorsels,                   // morsels dispatched to the pool
+  kJoinRangeSkippedRows,           // join/semijoin probe rows range-filtered
 
   // Exact confidence (d-tree) phases.
   kConfExactCalls,

@@ -12,7 +12,7 @@
 //
 // Determinism / bit-identity: the optimized plan produces the same answer
 // multiset as the translated plan, with bit-identical conf()/aconf()/
-// tconf() values — the engines canonicalize per-group clause order at the
+// tconf() values — the executor canonicalizes per-group clause order at the
 // confidence funnels (a joined row's condition CONTENT is merge-order
 // invariant; only the clause-list order could differ, and the funnels sort
 // it), serial aconf() samples on lineage-content-derived seeds, and join

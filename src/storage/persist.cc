@@ -447,15 +447,6 @@ Status SaveDatabaseToFile(const Catalog& catalog, const std::string& path,
   return SaveDatabaseBinary(catalog, path, evidence);
 }
 
-Status SaveDatabaseText(const Catalog& catalog, const std::string& path,
-                        const ConstraintStore* evidence) {
-  std::ofstream out(path);
-  if (!out) return Status::IoError(StringFormat("cannot open '%s'", path.c_str()));
-  out << DumpDatabase(catalog, evidence);
-  if (!out.good()) return Status::IoError(StringFormat("write to '%s' failed", path.c_str()));
-  return Status::OK();
-}
-
 Status SaveDatabaseBinary(const Catalog& catalog, const std::string& path,
                           const ConstraintStore* evidence) {
   MAYBMS_ASSIGN_OR_RETURN(std::unique_ptr<FilePageStore> store,

@@ -52,10 +52,6 @@ Status SaveDatabaseBinary(const Catalog& catalog, const std::string& path,
 Status LoadDatabaseBinary(const std::string& path, Catalog* catalog,
                           ConstraintStore* evidence = nullptr);
 
-/// Writes DumpDatabase() — the TEXT format — to a file.
-Status SaveDatabaseText(const Catalog& catalog, const std::string& path,
-                        const ConstraintStore* evidence = nullptr);
-
 /// Restores a dump into `catalog`. The catalog must be fresh: no tables
 /// and an empty world table (variable ids in conditions are dense indexes
 /// into the dumped world table). A dump with an EVIDENCE section loads it

@@ -32,7 +32,7 @@ struct Batch {
   /// Empty batch with one column per schema attribute (declared types).
   static Batch Allocate(const Schema& schema, size_t capacity = kDefaultCapacity);
 
-  /// Columnarizes `n` rows (row-engine interop / table loading).
+  /// Columnarizes `n` rows (table snapshots).
   static Batch FromRows(const Schema& schema, const Row* rows, size_t n);
 
   /// Appends one row across all columns and the condition column.
@@ -41,7 +41,7 @@ struct Batch {
   /// Materializes row `i` (values + condition).
   Row RowAt(size_t i) const;
 
-  /// Appends all rows to `out` (drain into a row-engine TableData).
+  /// Appends all rows to `out` (drain into a materialized TableData).
   void AppendTo(std::vector<Row>* out) const;
 };
 

@@ -6,8 +6,8 @@
 // Columns whose declared type is kNull (untyped), or that receive a value
 // of a type other than the declared one (legal through untyped columns),
 // fall back to boxed row-at-a-time Value storage — the slow but fully
-// general representation. All appends preserve exactly the Value that a
-// row-at-a-time engine would have seen: GetValue(Append(v)) == v.
+// general representation. All appends preserve exactly the Value that was
+// appended: GetValue(Append(v)) == v.
 #pragma once
 
 #include <cstdint>

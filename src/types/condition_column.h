@@ -68,7 +68,8 @@ class ConditionColumn {
 
   bool IsTrue(size_t i) const { return Span(i).empty(); }
 
-  /// Materializes row `i` as a heap Condition (row-engine interop).
+  /// Materializes row `i` as a heap Condition (row materialization and
+  /// the posterior solvers).
   Condition ToCondition(size_t i) const;
 
  private:

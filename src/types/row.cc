@@ -16,22 +16,6 @@ std::string Row::ToString() const {
   return out;
 }
 
-size_t HashValues(const std::vector<Value>& values) {
-  size_t h = 0x9e3779b97f4a7c15ULL;
-  for (const Value& v : values) {
-    h ^= v.Hash() + 0x9e3779b9 + (h << 6) + (h >> 2);
-  }
-  return h;
-}
-
-size_t HashValuesAt(const std::vector<Value>& values, const std::vector<size_t>& idxs) {
-  size_t h = 0x9e3779b97f4a7c15ULL;
-  for (size_t i : idxs) {
-    h ^= values[i].Hash() + 0x9e3779b9 + (h << 6) + (h >> 2);
-  }
-  return h;
-}
-
 bool ValuesEqual(const std::vector<Value>& a, const std::vector<Value>& b) {
   if (a.size() != b.size()) return false;
   for (size_t i = 0; i < a.size(); ++i) {

@@ -25,10 +25,7 @@ struct Row {
   std::string ToString() const;
 };
 
-/// Equality/hash over a key prefix or projection of the data values (used
-/// by group-by and hash joins).
-size_t HashValues(const std::vector<Value>& values);
-size_t HashValuesAt(const std::vector<Value>& values, const std::vector<size_t>& idxs);
+/// Element-wise Value::Equals over two value vectors of equal length.
 bool ValuesEqual(const std::vector<Value>& a, const std::vector<Value>& b);
 
 /// Finalized (fmix64) hashes over flat value spans and projections: the

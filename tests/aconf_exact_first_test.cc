@@ -8,8 +8,8 @@
 //   (b) over-budget lineage: aconf is bit-identical to the sampler layer
 //       (KarpLubyConfidenceSeeded) at the same seed;
 //   (c) lineage whose step count sits exactly at the budget (and one step
-//       past it) takes the same path on both engines, at num_threads
-//       {1, 2, 8}, with the d-tree cache and its component reuse on/off;
+//       past it) takes the same path at num_threads {1, 2, 8}, with the
+//       d-tree cache and its component reuse on/off;
 //   (d) a conditioned group's exact answer is the posterior exact solver's;
 //   (e) a warm repeat is served from the kind-2 entry.
 // Plus the conditioned sampler layer against the plain Karp-Luby trial
@@ -153,7 +153,6 @@ constexpr const char* kGraphFrom =
     " from e, u a, u b where e.i = a.k and e.j = b.k and a.v = 0 and b.v = 0";
 
 struct Config {
-  ExecEngine engine;
   unsigned num_threads;
   bool dtree_cache;
   bool component_cache;
@@ -161,12 +160,10 @@ struct Config {
 
 std::vector<Config> AllConfigs() {
   std::vector<Config> configs;
-  for (ExecEngine engine : {ExecEngine::kRow, ExecEngine::kBatch}) {
-    for (unsigned threads : {1u, 2u, 8u}) {
-      configs.push_back({engine, threads, true, true});
-      configs.push_back({engine, threads, true, false});
-      configs.push_back({engine, threads, false, true});
-    }
+  for (unsigned threads : {1u, 2u, 8u}) {
+    configs.push_back({threads, true, true});
+    configs.push_back({threads, true, false});
+    configs.push_back({threads, false, true});
   }
   return configs;
 }
@@ -174,7 +171,6 @@ std::vector<Config> AllConfigs() {
 std::unique_ptr<Database> MakeDb(const Config& c,
                                  const std::vector<std::string>& script) {
   DatabaseOptions options;
-  options.exec.engine = c.engine;
   options.exec.num_threads = c.num_threads;
   if (c.num_threads > 1) options.exec.morsel_size = 4;
   auto db = std::make_unique<Database>(options);
@@ -188,7 +184,7 @@ std::unique_ptr<Database> MakeDb(const Config& c,
   return db;
 }
 
-// The statement's lineage in the engines' canonical clause order.
+// The statement's lineage in the executor's canonical clause order.
 Dnf StatementLineage(Database* db) {
   Result<QueryResult> rows =
       db->Query(std::string("select e.i, e.j") + kGraphFrom);
@@ -229,9 +225,8 @@ void ExpectSamePathEverywhere(const GraphLineage& g, int64_t steps_past_budget) 
     expected = sampled->estimate;
   }
   for (const Config& c : AllConfigs()) {
-    SCOPED_TRACE(StringFormat("%s/%u cache=%d component=%d",
-                              c.engine == ExecEngine::kRow ? "row" : "batch",
-                              c.num_threads, c.dtree_cache, c.component_cache));
+    SCOPED_TRACE(StringFormat("batch/%u cache=%d component=%d", c.num_threads,
+                              c.dtree_cache, c.component_cache));
     auto db = MakeDb(c, script);
     auto before = db->session_manager().StatsSnapshot();
     Result<QueryResult> r =

@@ -1,6 +1,6 @@
 // Property/fuzz suite for the conditioning subsystem: posterior conf() and
 // tconf() answers on small random uncertain databases are compared against
-// a brute-force possible-world enumeration oracle, on both engines at
+// a brute-force possible-world enumeration oracle, at
 // num_threads ∈ {1, 4} (and a bit-identity sweep at {1, 2, 8}). Also
 // exercises the inconsistent-evidence (P(C) = 0) rejection path.
 #include <gtest/gtest.h>
@@ -20,28 +20,24 @@ namespace {
 constexpr double kTol = 1e-9;
 
 struct EngineConfig {
-  ExecEngine engine;
   unsigned num_threads;
   const char* name;
 };
 
 const EngineConfig kConfigs[] = {
-    {ExecEngine::kRow, 1, "row/1"},
-    {ExecEngine::kBatch, 1, "batch/1"},
-    {ExecEngine::kRow, 4, "row/4"},
-    {ExecEngine::kBatch, 4, "batch/4"},
+    {1, "batch/1"},
+    {4, "batch/4"},
 };
 
 DatabaseOptions ConfigOptions(const EngineConfig& config) {
   DatabaseOptions options;
-  options.exec.engine = config.engine;
   options.exec.num_threads = config.num_threads;
   if (config.num_threads > 1) options.exec.morsel_size = 3;
   return options;
 }
 
 // One iteration's randomly-built hypothesis space, identical across all
-// engine configs: a base table repaired by key plus picked tuples, both
+// configs: a base table repaired by key plus picked tuples, both
 // materialized so later ASSERTs do not mint fresh variables.
 std::vector<std::string> BuildScript(Rng* rng) {
   std::vector<std::string> script;
@@ -215,7 +211,7 @@ TEST_F(ConditioningPropertyTest, PosteriorsMatchBruteForceAcrossEnginesAndThread
     }
 
     // Posterior conf() per distinct v, vs the oracle and bit-identical
-    // across engines and thread counts.
+    // across thread counts.
     const std::string conf_sql =
         "select v, conf() as p from u group by v order by v";
     auto reference = dbs[0]->Query(conf_sql);
@@ -236,7 +232,7 @@ TEST_F(ConditioningPropertyTest, PosteriorsMatchBruteForceAcrossEnginesAndThread
       for (size_t row = 0; row < reference->NumRows(); ++row) {
         EXPECT_TRUE(reference->At(row, 0).Equals(got->At(row, 0)))
             << kConfigs[i].name;
-        // Bit-identical posterior across engines and thread counts.
+        // Bit-identical posterior across thread counts.
         EXPECT_EQ(reference->At(row, 1).AsDouble(), got->At(row, 1).AsDouble())
             << kConfigs[i].name << " row " << row;
       }
@@ -293,13 +289,13 @@ TEST_F(ConditioningPropertyTest, PosteriorsMatchBruteForceAcrossEnginesAndThread
 }
 
 // Posterior aconf() agrees with the exact posterior within its (ε,δ)
-// band on both engines, and the threads >= 2 substream estimates are
-// bit-identical across engines and thread counts.
+// band, and the threads >= 2 substream estimates are bit-identical across
+// thread counts.
 TEST_F(ConditioningPropertyTest, PosteriorAconfMatchesExactAndIsDeterministic) {
   const EngineConfig grid[] = {
-      {ExecEngine::kRow, 1, "row/1"},   {ExecEngine::kBatch, 1, "batch/1"},
-      {ExecEngine::kRow, 2, "row/2"},   {ExecEngine::kBatch, 2, "batch/2"},
-      {ExecEngine::kRow, 8, "row/8"},   {ExecEngine::kBatch, 8, "batch/8"},
+      {1, "batch/1"},
+      {2, "batch/2"},
+      {8, "batch/8"},
   };
   Rng rng(7);
   std::vector<std::string> script = BuildScript(&rng);
@@ -318,8 +314,7 @@ TEST_F(ConditioningPropertyTest, PosteriorAconfMatchesExactAndIsDeterministic) {
       "select v, aconf(0.02, 0.02) as p from u group by v order by v";
   auto exact = dbs[0]->Query(exact_sql);
   ASSERT_TRUE(exact.ok());
-  // Exact posteriors are bit-identical across the whole engine × thread
-  // grid {row,batch} × {1,2,8}.
+  // Exact posteriors are bit-identical across thread counts {1,2,8}.
   for (size_t i = 1; i < dbs.size(); ++i) {
     auto got = dbs[i]->Query(exact_sql);
     ASSERT_TRUE(got.ok()) << grid[i].name;
@@ -329,8 +324,8 @@ TEST_F(ConditioningPropertyTest, PosteriorAconfMatchesExactAndIsDeterministic) {
           << grid[i].name << " row " << row;
     }
   }
-  // Reference for the substream estimates: config row/2.
-  auto seeded_ref = dbs[2]->Query(approx_sql);
+  // Reference for the substream estimates: config batch/2.
+  auto seeded_ref = dbs[1]->Query(approx_sql);
   ASSERT_TRUE(seeded_ref.ok());
   for (size_t i = 0; i < dbs.size(); ++i) {
     auto got = dbs[i]->Query(approx_sql);
@@ -344,7 +339,7 @@ TEST_F(ConditioningPropertyTest, PosteriorAconfMatchesExactAndIsDeterministic) {
       if (grid[i].num_threads >= 2) {
         EXPECT_EQ(p_approx, seeded_ref->At(row, 1).AsDouble())
             << grid[i].name << " substream estimate must be thread-count "
-            << "and engine independent";
+            << "independent";
       }
     }
   }

@@ -7,8 +7,7 @@
 //   - the INVALIDATION PROPERTY SUITE: on random databases, every
 //     conf()/tconf()/posterior answer is BIT-IDENTICAL with the cache on
 //     and off across INSERT / DELETE / UPDATE / ASSERT / world pruning /
-//     CLEAR EVIDENCE / node-budget changes, on row and batch engines at
-//     threads {1, 4};
+//     CLEAR EVIDENCE / node-budget changes, at threads {1, 4};
 //   - a tightened dtree_node_budget is never answered by a value compiled
 //     under a looser budget, and `dtree_cache = off` never touches the
 //     cache;
@@ -173,21 +172,17 @@ TEST(DTreeCacheUnitTest, WorldTableVersionBumpsOnCollapseOnly) {
 // ---------------------------------------------------------------------------
 
 struct EngineConfig {
-  ExecEngine engine;
   unsigned num_threads;
   const char* name;
 };
 
 const EngineConfig kConfigs[] = {
-    {ExecEngine::kRow, 1, "row/1"},
-    {ExecEngine::kBatch, 1, "batch/1"},
-    {ExecEngine::kRow, 4, "row/4"},
-    {ExecEngine::kBatch, 4, "batch/4"},
+    {1, "batch/1"},
+    {4, "batch/4"},
 };
 
 DatabaseOptions ConfigOptions(const EngineConfig& config, bool cache_on) {
   DatabaseOptions options;
-  options.exec.engine = config.engine;
   options.exec.num_threads = config.num_threads;
   if (config.num_threads > 1) options.exec.morsel_size = 3;
   options.exec.dtree_cache = cache_on;
@@ -269,7 +264,7 @@ void StepBoth(Database* on, Database* off, const std::string& sql,
 
 // ---------------------------------------------------------------------------
 // Invalidation property suite: cache on == cache off, bit for bit, across
-// every mutation seam, on both engines at threads {1, 4}.
+// every mutation seam, at threads {1, 4}.
 // ---------------------------------------------------------------------------
 
 TEST(DTreeCachePropertyTest, BitIdentityAcrossMutationsEnginesAndThreads) {
@@ -456,7 +451,7 @@ TEST(DTreeCacheEngineTest, FallbackEstimatesIdenticalWithCacheOnAndOff) {
         ASSERT_EQ(reference.size(), got.size());
         for (size_t i = 0; i < got.size(); ++i) {
           EXPECT_EQ(DoubleBits(reference[i]), DoubleBits(got[i]))
-              << "fallback estimate drifted (engine/threads/cache)";
+              << "fallback estimate drifted (threads/cache)";
         }
       }
       ExpectBitIdentical(*first, *r, "fallback stable across repeats");

@@ -10,14 +10,14 @@
 //     world-table alternative sets, and independent-AND (⊙) nodes fire on
 //     cross products of variable-disjoint clause sets — and only there;
 //   - posterior conf() under ASSERT evidence — including pruned-store
-//     states — matches the oracle and the goldens and is bit-identical on
-//     row/batch engines × threads {1, 2, 8};
+//     states — matches the oracle and the goldens and is bit-identical at
+//     threads {1, 2, 8};
 //   - the compiled-evidence cache on ConstraintStore stays consistent
 //     through ASSERT / CONDITION ON / CLEAR EVIDENCE / pruning;
 //   - packed Karp-Luby trials consume the same RNG draws and return the
 //     same outcomes as the plain trial loop (tests/karp_luby_oracle.h), so
 //     seeded sampler estimates equal the oracle's;
-//   - the conf() budget fallback produces deterministic, engine- and
+//   - the conf() budget fallback produces deterministic,
 //     thread-independent estimates.
 #include <gtest/gtest.h>
 
@@ -496,24 +496,22 @@ TEST(DTreePropertyTest, WideProductBeyondMaskWidth) {
 }
 
 // ---------------------------------------------------------------------------
-// Posterior states (evidence, pruning) across engines and thread counts
+// Posterior states (evidence, pruning) across thread counts
 // ---------------------------------------------------------------------------
 
 struct EngineConfig {
-  ExecEngine engine;
   unsigned num_threads;
   const char* name;
 };
 
 const EngineConfig kConfigs[] = {
-    {ExecEngine::kRow, 1, "row/1"},    {ExecEngine::kBatch, 1, "batch/1"},
-    {ExecEngine::kRow, 2, "row/2"},    {ExecEngine::kBatch, 2, "batch/2"},
-    {ExecEngine::kRow, 8, "row/8"},    {ExecEngine::kBatch, 8, "batch/8"},
+    {1, "batch/1"},
+    {2, "batch/2"},
+    {8, "batch/8"},
 };
 
 DatabaseOptions ConfigOptions(const EngineConfig& config) {
   DatabaseOptions options;
-  options.exec.engine = config.engine;
   options.exec.num_threads = config.num_threads;
   if (config.num_threads > 1) options.exec.morsel_size = 3;
   return options;
@@ -669,7 +667,7 @@ TEST(DTreePropertyTest, PosteriorAndPrunedStatesAcrossEnginesAndThreads) {
         for (size_t ph = 0; ph < phases.size(); ++ph) {
           ASSERT_EQ(phases[ph].size(), reference[ph].size());
           for (size_t g = 0; g < phases[ph].size(); ++g) {
-            // Bit-identical across engines and thread counts.
+            // Bit-identical across thread counts.
             EXPECT_EQ(phases[ph][g], reference[ph][g])
                 << "phase " << ph << " group " << g;
           }
@@ -841,7 +839,7 @@ TEST(DTreePropertyTest, ConfFallbackIsDeterministicAcrossEnginesAndThreads) {
     for (const Row& row : r->rows()) got.push_back(row.values[1].AsDouble());
     ASSERT_EQ(got.size(), 2u);
     // Fallback estimates are (ε,δ)-close to truth and identical across
-    // engines and thread counts (content-seeded).
+    // thread counts (content-seeded).
     if (reference.empty()) {
       reference = got;
     } else {

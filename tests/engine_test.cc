@@ -117,6 +117,20 @@ TEST(DatabaseTest, SetStatementAdjustsSessionKnobs) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(DatabaseTest, EngineSettingIsUnknown) {
+  // The batch engine is the only executor; the knob that chose between it
+  // and the row interpreter is gone like any other unknown setting.
+  Database db;
+  const std::string knob = "engine";
+  for (const char* value : {"row", "batch"}) {
+    const std::string sql = "SET " + knob + " = " + value;
+    Status st = db.Execute(sql);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << sql;
+    EXPECT_NE(st.ToString().find("unknown setting '" + knob + "'"), std::string::npos)
+        << st.ToString();
+  }
+}
+
 TEST(DatabaseTest, SetKnobsRejectMalformedNumbersWithPositions) {
   Database db;
   // Trailing garbage after a numeric value: rejected by the SET parser

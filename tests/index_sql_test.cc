@@ -1,8 +1,7 @@
 // SQL-level tests for secondary indexes: DDL (CREATE/DROP/SHOW INDEX),
 // maintenance across DML, index-aware planning (EXPLAIN shows IndexScan,
 // SET use_indexes toggles it), and the bit-identity contract: every query
-// answers the same with indexes on or off, across engines and thread
-// counts. Also covers the trace_sample knob and Prometheus export.
+// answers the same with indexes on or off, across thread counts. Also covers the trace_sample knob and Prometheus export.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -142,7 +141,7 @@ TEST(IndexSqlTest, IndexMaintainedAcrossDml) {
 }
 
 // The acceptance contract: bit-identical answers with indexes on vs off,
-// for both engines and serial vs pooled execution.
+// for serial vs pooled execution.
 TEST(IndexSqlTest, ParitySweepAcrossEnginesAndThreads) {
   const std::vector<std::string> queries = {
       "select * from orders where id = 1117",
@@ -168,29 +167,26 @@ TEST(IndexSqlTest, ParitySweepAcrossEnginesAndThreads) {
       expected.push_back(r->ToString());
     }
   }
-  for (const char* engine : {"batch", "row"}) {
-    for (const char* threads : {"1", "4"}) {
-      for (const char* indexes : {"on", "off"}) {
-        Database db;
-        FillOrders(&db, 3000);
-        ASSERT_TRUE(db.Execute("create table vips (name text)").ok());
-        ASSERT_TRUE(
-            db.Execute("insert into vips values ('cust13'), ('cust42')").ok());
-        ASSERT_TRUE(db.Execute("create index orders_id on orders (id)").ok());
-        ASSERT_TRUE(
-            db.Execute("create index orders_cust on orders (cust)").ok());
-        ASSERT_TRUE(db.Execute(std::string("set engine = ") + engine).ok());
-        ASSERT_TRUE(
-            db.Execute(std::string("set num_threads = ") + threads).ok());
-        ASSERT_TRUE(
-            db.Execute(std::string("set use_indexes = ") + indexes).ok());
-        for (size_t i = 0; i < queries.size(); ++i) {
-          auto r = db.Query(queries[i]);
-          ASSERT_TRUE(r.ok()) << queries[i];
-          EXPECT_EQ(r->ToString(), expected[i])
-              << queries[i] << " (engine=" << engine << " threads=" << threads
-              << " use_indexes=" << indexes << ")";
-        }
+  for (const char* threads : {"1", "4"}) {
+    for (const char* indexes : {"on", "off"}) {
+      Database db;
+      FillOrders(&db, 3000);
+      ASSERT_TRUE(db.Execute("create table vips (name text)").ok());
+      ASSERT_TRUE(
+          db.Execute("insert into vips values ('cust13'), ('cust42')").ok());
+      ASSERT_TRUE(db.Execute("create index orders_id on orders (id)").ok());
+      ASSERT_TRUE(
+          db.Execute("create index orders_cust on orders (cust)").ok());
+      ASSERT_TRUE(
+          db.Execute(std::string("set num_threads = ") + threads).ok());
+      ASSERT_TRUE(
+          db.Execute(std::string("set use_indexes = ") + indexes).ok());
+      for (size_t i = 0; i < queries.size(); ++i) {
+        auto r = db.Query(queries[i]);
+        ASSERT_TRUE(r.ok()) << queries[i];
+        EXPECT_EQ(r->ToString(), expected[i])
+            << queries[i] << " (threads=" << threads
+            << " use_indexes=" << indexes << ")";
       }
     }
   }

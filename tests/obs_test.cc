@@ -179,16 +179,13 @@ TEST(ObsRegistryTest, ConcurrentSessionsAccumulateExactly) {
 // ---------------------------------------------------------------------------
 
 struct EngineConfig {
-  ExecEngine engine;
   unsigned num_threads;
   const char* name;
 };
 
 const EngineConfig kConfigs[] = {
-    {ExecEngine::kRow, 1, "row/1"},
-    {ExecEngine::kBatch, 1, "batch/1"},
-    {ExecEngine::kRow, 4, "row/4"},
-    {ExecEngine::kBatch, 4, "batch/4"},
+    {1, "batch/1"},
+    {4, "batch/4"},
 };
 
 TEST(ObsExplainAnalyzeTest, BitIdenticalToUntracedAcrossEnginesAndThreads) {
@@ -198,7 +195,6 @@ TEST(ObsExplainAnalyzeTest, BitIdenticalToUntracedAcrossEnginesAndThreads) {
     // the other the traced one, both cold — tracing must not perturb a
     // single bit of the answer.
     DatabaseOptions options;
-    options.exec.engine = config.engine;
     options.exec.num_threads = config.num_threads;
     Database plain(options);
     Database traced(options);

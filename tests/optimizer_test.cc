@@ -2,7 +2,7 @@
 // statistics refresh, join-order enumeration (DP and greedy), EXPLAIN plan
 // shapes under the optimizer knobs, and the central property — optimizer-on
 // and optimizer-off produce the same answer multiset with BIT-IDENTICAL
-// conf()/aconf()/tconf() values on both engines at 1 and 4 threads.
+// conf()/aconf()/tconf() values at 1 and 4 threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -322,16 +322,13 @@ TEST(OptimizerTest, FiltersOverIndexScanKeepEstimatesAtMostTheirInput) {
 // ---------------------------------------------------------------------------
 
 struct EngineConfig {
-  ExecEngine engine;
   unsigned num_threads;
   const char* name;
 };
 
 const EngineConfig kConfigs[] = {
-    {ExecEngine::kRow, 1, "row/1"},
-    {ExecEngine::kBatch, 1, "batch/1"},
-    {ExecEngine::kRow, 4, "row/4"},
-    {ExecEngine::kBatch, 4, "batch/4"},
+    {1, "batch/1"},
+    {4, "batch/4"},
 };
 
 // Renders a result as a sorted multiset of rows. Doubles print at full
@@ -424,7 +421,6 @@ TEST(OptimizerPropertyTest, OnOffIdentityAcrossEnginesAndThreads) {
     const std::vector<std::string> queries = RandomQueries(&script_rng);
     for (const EngineConfig& config : kConfigs) {
       DatabaseOptions on_opts, off_opts;
-      on_opts.exec.engine = off_opts.exec.engine = config.engine;
       on_opts.exec.num_threads = off_opts.exec.num_threads =
           config.num_threads;
       off_opts.exec.optimizer = false;

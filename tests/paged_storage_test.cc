@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <random>
 #include <string>
 #include <vector>
@@ -363,7 +364,11 @@ TEST(PagedStorageTest, TextDumpsStillImport) {
   ASSERT_TRUE(db.Execute("create table t (k int, v text)").ok());
   ASSERT_TRUE(db.Execute("insert into t values (1, 'one'), (2, 'two')").ok());
   const std::string path = ::testing::TempDir() + "/maybms_text_dump.db";
-  ASSERT_TRUE(SaveDatabaseText(db.catalog(), path).ok());
+  {
+    std::ofstream out(path);
+    out << DumpDatabase(db.catalog());
+    ASSERT_TRUE(out.good());
+  }
   Database db2;
   ASSERT_TRUE(LoadDatabaseFromFile(path, &db2.catalog()).ok());
   auto r = db2.Query("select v from t where k = 2");

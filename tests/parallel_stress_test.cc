@@ -20,7 +20,6 @@ constexpr double kProbTol = 1e-12;
 
 DatabaseOptions StressOptions(unsigned num_threads, size_t morsel_size) {
   DatabaseOptions options;
-  options.exec.engine = ExecEngine::kBatch;
   options.exec.num_threads = num_threads;
   options.exec.morsel_size = morsel_size;
   return options;

@@ -88,10 +88,10 @@ TEST(SessionTest, KnobsAndSeedsAreSessionLocal) {
     auto a = db.session_manager().CreateSession();
     auto b = db.session_manager().CreateSession();
 
-    ASSERT_TRUE(a->Execute("SET engine = row").ok());
+    ASSERT_TRUE(a->Execute("SET optimizer = off").ok());
     ASSERT_TRUE(a->Execute("SET dtree_cache = off").ok());
-    EXPECT_EQ(a->options().exec.engine, ExecEngine::kRow);
-    EXPECT_EQ(b->options().exec.engine, ExecEngine::kBatch);
+    EXPECT_FALSE(a->options().exec.optimizer);
+    EXPECT_TRUE(b->options().exec.optimizer);
     EXPECT_FALSE(a->options().exec.dtree_cache);
     EXPECT_TRUE(b->options().exec.dtree_cache);
 
@@ -242,14 +242,14 @@ std::vector<std::vector<uint64_t>> RunScript(SessionManager* manager,
 
 TEST(SessionStressTest, ConcurrentSessionsMatchSerialReplay) {
   // Four concurrent sessions with distinct knobs and evidence —
-  // both engines, serial and pooled thread counts. Each session's answers
-  // must be bit-identical to replaying ITS script alone on a fresh
+  // optimizer on and off, serial and pooled thread counts. Each session's
+  // answers must be bit-identical to replaying ITS script alone on a fresh
   // single-session database over identically-built data.
   std::vector<SessionScript> scripts(4);
   for (int k = 0; k < 4; ++k) {
     SessionScript& s = scripts[k];
     s.options.exec.num_threads = (k % 2 == 0) ? 1 : 4;
-    s.options.exec.engine = (k < 2) ? ExecEngine::kBatch : ExecEngine::kRow;
+    s.options.exec.optimizer = k < 2;
     s.statements.push_back(EvidenceFor(k + 1));
     for (int iter = 0; iter < 3; ++iter) {
       s.statements.push_back(kConfQuery);

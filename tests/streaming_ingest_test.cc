@@ -20,8 +20,7 @@
 //   - the STREAMING-INGEST PROPERTY SUITE: random INSERT / UPDATE /
 //     DELETE / ASSERT / CLEAR EVIDENCE interleavings with conf(), aconf()
 //     and tconf() probes after every step, bit-identical with the
-//     incremental machinery on and off, on row and batch engines at
-//     threads {1, 4}.
+//     incremental machinery on and off, at threads {1, 4}.
 //
 // Suite names contain "StreamingIngest" so the TSan CI lane picks them up.
 #include <gtest/gtest.h>
@@ -513,25 +512,21 @@ TEST(StreamingIngestEngineTest, SnapshotChunkRowsKnobAppliesToTables) {
 // Streaming-ingest property suite: random DML/evidence interleavings with
 // conf/aconf/tconf probes, bit-identical with the incremental machinery
 // (chunked snapshots feed both sides; d-tree + component + estimate caches
-// on vs off) across engines and thread counts.
+// on vs off) across thread counts.
 // ---------------------------------------------------------------------------
 
 struct EngineConfig {
-  ExecEngine engine;
   unsigned num_threads;
   const char* name;
 };
 
 const EngineConfig kConfigs[] = {
-    {ExecEngine::kRow, 1, "row/1"},
-    {ExecEngine::kBatch, 1, "batch/1"},
-    {ExecEngine::kRow, 4, "row/4"},
-    {ExecEngine::kBatch, 4, "batch/4"},
+    {1, "batch/1"},
+    {4, "batch/4"},
 };
 
 DatabaseOptions ConfigOptions(const EngineConfig& config, bool cache_on) {
   DatabaseOptions options;
-  options.exec.engine = config.engine;
   options.exec.num_threads = config.num_threads;
   if (config.num_threads > 1) options.exec.morsel_size = 3;
   options.exec.dtree_cache = cache_on;
@@ -580,7 +575,7 @@ TEST(StreamingIngestPropertyTest, RandomInterleavingsBitIdenticalOnVsOff) {
   const char* kTconf = "select id, tconf() as p from u order by id";
 
   for (const EngineConfig& config : kConfigs) {
-    Rng rng(4400 + config.num_threads + (config.engine == ExecEngine::kBatch));
+    Rng rng(4401 + config.num_threads);
     for (int iter = 0; iter < 3; ++iter) {
       SCOPED_TRACE(StringFormat("%s iteration %d", config.name, iter));
       Database on(ConfigOptions(config, /*cache_on=*/true));

@@ -57,9 +57,9 @@ GUARDED_CASES = [
     ("sprout", "eager"),
     ("sprout", "exact_dnf"),
     # The d-tree compilation cache (ISSUE 5): cold = compile + fill, cached
-    # = kRepeats warm statements. Four records each (row/batch x t{1,4});
-    # the bench binary itself fails the lane on any cache-on/off or
-    # cross-engine probability mismatch, this guard watches the timings.
+    # = kRepeats warm statements. Two records each (threads {1,4}); the
+    # bench binary itself fails the lane on any cache-on/off or
+    # cross-thread probability mismatch, this guard watches the timings.
     ("dtree_cache", "conf_cold"),
     ("dtree_cache", "conf_cached"),
     # fig1 random-walk translation cases, guarded now that their variance
@@ -84,7 +84,7 @@ GUARDED_CASES = [
     ("server", "dashboard_concurrent"),
     # Cost-based optimizer (ISSUE 9): *_optimized = worst-syntactic-order
     # star/chain joins with `set optimizer = on`. The binary itself
-    # self-checks on/off answers bit-identical across both engines and
+    # self-checks on/off answers bit-identical at 1 and 4 threads and
     # enforces the >= 3x star speedup floor, exiting non-zero on either;
     # this guard watches the optimized-path latency (planning + stats
     # overhead included).
@@ -99,7 +99,7 @@ GUARDED_CASES = [
     # range scans through B+ tree access paths, plus the binary paged
     # save/load round trip under a deliberately small 64-frame buffer
     # pool. The binary self-checks indexed/scan answers bit-identical
-    # across both engines and enforces the >= 10x point-lookup speedup
+    # at 1 and 4 threads and enforces the >= 10x point-lookup speedup
     # floor, exiting non-zero on either; this guard watches the absolute
     # indexed-path and persistence latencies.
     ("paged_storage", "point_lookup_indexed"),
