@@ -9,6 +9,11 @@
 // atom for atom. The threaded configs use a deliberately tiny morsel_size
 // so even the small corpus tables split into many parallel work units.
 //
+// RelationalParityTest holds the relational corpus to the same goldens
+// with the cost-based optimizer off (the syntactic plan, at num_threads
+// {1, 8}), so the answers of the unoptimized plan are pinned too, not
+// only those of the plan the optimizer picks.
+//
 // ProbabilisticParityTest and RandomParityTest check the probabilistic
 // answers of the same corpus — conf, tconf, possible, esum, ecount —
 // against brute-force enumeration of the possible worlds
@@ -22,6 +27,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -119,20 +125,44 @@ std::string CurrentTestName() {
 
 constexpr unsigned kThreadCounts[] = {1, 2, 8};
 
-DatabaseOptions ThreadOptions(unsigned num_threads) {
+DatabaseOptions ThreadOptions(unsigned num_threads, bool optimizer = true) {
   DatabaseOptions options;
   options.exec.num_threads = num_threads;
+  options.exec.optimizer = optimizer;
   if (num_threads > 1) options.exec.morsel_size = 3;
   return options;
 }
 
-// Databases at every thread count, each query held to the golden recorded
+struct GoldenConfig {
+  std::string name;
+  DatabaseOptions options;
+};
+
+// batch/1, batch/2, batch/8 with the default (optimizing) planner.
+std::vector<GoldenConfig> ThreadConfigs() {
+  std::vector<GoldenConfig> configs;
+  for (unsigned threads : kThreadCounts) {
+    configs.push_back({StringFormat("batch/%u", threads), ThreadOptions(threads)});
+  }
+  return configs;
+}
+
+// The syntactic plan, serial and morsel-split.
+std::vector<GoldenConfig> OptimizerOffConfigs() {
+  return {{"batch/1/optimizer=off", ThreadOptions(1, false)},
+          {"batch/8/optimizer=off", ThreadOptions(8, false)}};
+}
+
+// Databases under every config, each query held to the golden recorded
 // under the running test's name. TearDown fails if a golden of that scope
 // was never checked.
 class GoldenDatabases {
  public:
-  GoldenDatabases() {
-    for (unsigned threads : kThreadCounts) dbs_.emplace_back(ThreadOptions(threads));
+  explicit GoldenDatabases(std::vector<GoldenConfig> configs = ThreadConfigs()) {
+    for (GoldenConfig& config : configs) {
+      names_.push_back(std::move(config.name));
+      dbs_.emplace_back(config.options);
+    }
   }
 
   void Exec(const std::string& sql) {
@@ -166,17 +196,20 @@ class GoldenDatabases {
   }
 
   std::vector<Database>& dbs() { return dbs_; }
-  static std::string Name(size_t i) {
-    return StringFormat("batch/%u", kThreadCounts[i]);
-  }
+  const std::string& Name(size_t i) const { return names_[i]; }
 
  private:
+  std::vector<std::string> names_;
   std::vector<Database> dbs_;
   size_t checked_ = 0;
 };
 
 class ParallelParityTest : public ::testing::Test {
  protected:
+  ParallelParityTest() = default;
+  explicit ParallelParityTest(std::vector<GoldenConfig> configs)
+      : goldens_(std::move(configs)) {}
+
   void TearDown() override { goldens_.ExpectEveryGoldenChecked(); }
 
   void Exec(const std::string& sql) { goldens_.Exec(sql); }
@@ -190,64 +223,96 @@ class ParallelParityTest : public ::testing::Test {
 // Deterministic relational workloads (the parity corpus)
 // ---------------------------------------------------------------------------
 
+void SetUpEmployees(GoldenDatabases& db) {
+  db.Exec("create table emp (id int, name text, dept text, salary double)");
+  db.Exec("insert into emp values "
+          "(1,'ann','eng',100.0), (2,'bob','eng',90.0), (3,'cat','ops',80.0), "
+          "(4,'dan','ops',85.0), (5,'eve','hr',70.0), (6,'fay','hr',null)");
+  db.Exec("create table dept (dept text, city text)");
+  db.Exec("insert into dept values ('eng','NYC'), ('ops','SF')");
+}
+
+void ScansFiltersProjectionsCorpus(GoldenDatabases& db) {
+  db.Check("select * from emp");
+  db.Check("select name, salary * 2 as double_pay from emp order by id");
+  db.Check("select name from emp where salary >= 85 and dept <> 'hr'");
+  db.Check("select name from emp where salary % 20 = 0 or length(name) = 3");
+  db.Check("select name from emp where salary is null");
+  db.Check("select name from emp where salary is not null order by salary desc");
+  db.Check("select upper(name), abs(-salary), least(salary, 85.0) from emp order by id");
+  db.Check("select name from emp where -salary < -80 order by name");
+}
+
+void JoinsUnionsDistinctCorpus(GoldenDatabases& db) {
+  db.Check("select e.name, d.city from emp e, dept d where e.dept = d.dept "
+           "order by e.id");
+  db.Check("select e.id from emp e, dept d");
+  db.Check("select e1.name from emp e1, emp e2 where e1.salary = e2.salary + 10");
+  db.Check("select distinct dept from emp order by dept");
+  db.Check("select dept from emp union select dept from dept");
+  db.Check("select name from emp where dept in (select dept from dept)");
+  db.Check("select name from emp where dept not in (select dept from dept) "
+           "order by name");
+  db.Check("select name from emp order by salary desc limit 3");
+  db.Check("select name from emp limit 0");
+}
+
+void AggregatesAndGroupsCorpus(GoldenDatabases& db) {
+  db.Check("select dept, count(*), sum(salary), avg(salary), min(name), max(salary) "
+           "from emp group by dept order by dept");
+  db.Check("select count(salary) from emp");
+  db.Check("select sum(salary) from emp where dept = 'none'");
+  db.Check("select argmax(name, salary) from emp");
+}
+
+void DmlCorpus(GoldenDatabases& db) {
+  db.Exec("update emp set salary = salary + 1 where dept = 'eng'");
+  db.Exec("delete from emp where salary < 75");
+  db.Check("select * from emp order by id");
+  db.Exec("create table emp2 as select name, salary from emp where salary > 80");
+  db.Check("select * from emp2 order by name");
+}
+
 class ParallelRelationalParityTest : public ParallelParityTest {
  protected:
-  void SetUp() override {
-    Exec("create table emp (id int, name text, dept text, salary double)");
-    Exec("insert into emp values "
-         "(1,'ann','eng',100.0), (2,'bob','eng',90.0), (3,'cat','ops',80.0), "
-         "(4,'dan','ops',85.0), (5,'eve','hr',70.0), (6,'fay','hr',null)");
-    Exec("create table dept (dept text, city text)");
-    Exec("insert into dept values ('eng','NYC'), ('ops','SF')");
-  }
+  void SetUp() override { SetUpEmployees(goldens_); }
 };
 
 TEST_F(ParallelRelationalParityTest, ScansFiltersProjections) {
-  Check("select * from emp");
-  Check("select name, salary * 2 as double_pay from emp order by id");
-  Check("select name from emp where salary >= 85 and dept <> 'hr'");
-  Check("select name from emp where salary % 20 = 0 or length(name) = 3");
-  Check("select name from emp where salary is null");
-  Check("select name from emp where salary is not null order by salary desc");
-  Check("select upper(name), abs(-salary), least(salary, 85.0) from emp order by id");
-  Check("select name from emp where -salary < -80 order by name");
+  ScansFiltersProjectionsCorpus(goldens_);
 }
 
 TEST_F(ParallelRelationalParityTest, JoinsUnionsDistinct) {
-  Check("select e.name, d.city from emp e, dept d where e.dept = d.dept "
-        "order by e.id");
-  Check("select e.id from emp e, dept d");
-  Check("select e1.name from emp e1, emp e2 where e1.salary = e2.salary + 10");
-  Check("select distinct dept from emp order by dept");
-  Check("select dept from emp union select dept from dept");
-  Check("select name from emp where dept in (select dept from dept)");
-  Check("select name from emp where dept not in (select dept from dept) "
-        "order by name");
-  Check("select name from emp order by salary desc limit 3");
-  Check("select name from emp limit 0");
+  JoinsUnionsDistinctCorpus(goldens_);
 }
 
 TEST_F(ParallelRelationalParityTest, AggregatesAndGroups) {
-  Check("select dept, count(*), sum(salary), avg(salary), min(name), max(salary) "
-        "from emp group by dept order by dept");
-  Check("select count(salary) from emp");
-  Check("select sum(salary) from emp where dept = 'none'");
-  Check("select argmax(name, salary) from emp");
+  AggregatesAndGroupsCorpus(goldens_);
 }
 
-TEST_F(ParallelRelationalParityTest, DmlParity) {
-  Exec("update emp set salary = salary + 1 where dept = 'eng'");
-  Exec("delete from emp where salary < 75");
-  Check("select * from emp order by id");
-  Exec("create table emp2 as select name, salary from emp where salary > 80");
-  Check("select * from emp2 order by name");
-}
+TEST_F(ParallelRelationalParityTest, DmlParity) { DmlCorpus(goldens_); }
 
 TEST_F(ParallelRelationalParityTest, ErrorParity) {
   CheckError("select * from missing_table");
   CheckError("select name from emp where 1 / (length(name) - 3) > 0 "
              "and name = 'ann'");
 }
+
+class RelationalParityTest : public ParallelParityTest {
+ protected:
+  RelationalParityTest() : ParallelParityTest(OptimizerOffConfigs()) {}
+  void SetUp() override { SetUpEmployees(goldens_); }
+};
+
+TEST_F(RelationalParityTest, ScansFiltersProjections) {
+  ScansFiltersProjectionsCorpus(goldens_);
+}
+
+TEST_F(RelationalParityTest, JoinsUnionsDistinct) { JoinsUnionsDistinctCorpus(goldens_); }
+
+TEST_F(RelationalParityTest, AggregatesAndGroups) { AggregatesAndGroupsCorpus(goldens_); }
+
+TEST_F(RelationalParityTest, DmlParity) { DmlCorpus(goldens_); }
 
 // ---------------------------------------------------------------------------
 // Probabilistic workloads (repair-key, pick-tuples, conf, tconf, possible)
@@ -355,7 +420,7 @@ TEST_F(ParallelProbabilisticParityTest, AconfBitEqualAcrossThreadedConfigs) {
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   for (size_t i = 1; i < dbs.size(); ++i) {
     auto got = dbs[i].Query(sql);
-    const std::string name = GoldenDatabases::Name(i);
+    const std::string& name = goldens_.Name(i);
     ASSERT_TRUE(got.ok()) << name << ": " << got.status().ToString();
     ASSERT_EQ(reference->NumRows(), got->NumRows()) << name;
     for (size_t r = 0; r < reference->NumRows(); ++r) {
